@@ -5,9 +5,7 @@
 // result sinks. The four paper strategies, the three built-in platforms, and
 // the Table/CSV/JSON sinks are pre-registered; new scenarios register
 // themselves at startup and immediately work with RunConfig, Sweep, and every
-// bench flag — no core/ edits required. The legacy enum surface
-// (core::StrategyKind, core::strategy_from_string) is a thin wrapper over
-// these registries.
+// bench flag — no core/ edits required.
 #pragma once
 
 #include <functional>
@@ -20,8 +18,10 @@
 #include <utility>
 #include <vector>
 
+#include "abft/checksum.hpp"
 #include "bsr/result_sink.hpp"
 #include "bsr/run_config.hpp"
+#include "cluster/engine.hpp"
 #include "common/ascii.hpp"
 #include "energy/strategy.hpp"
 #include "hw/platform.hpp"
@@ -118,12 +118,13 @@ class Registry {
   std::map<std::string, std::string> aliases_;  // alias -> canonical key
 };
 
-/// One registered strategy: a factory, plus the legacy enum tag for the four
-/// built-ins (registry-only strategies leave it empty — they work everywhere
-/// except the deprecated StrategyKind surface).
+/// One registered strategy: a factory, plus the cluster-engine policy for the
+/// four built-ins (registry-only strategies leave it empty — they run on the
+/// single-node engine only).
 struct StrategyEntry {
-  /// Legacy enum tag of the four built-ins; empty for registry-only entries.
-  std::optional<core::StrategyKind> kind;
+  /// The N-device generalization the cluster engine runs; empty for
+  /// registry-only entries.
+  std::optional<cluster::ClusterStrategy> kind;
   /// Builds the strategy object for one run; receives the whole RunConfig,
   /// so custom strategies may read any field.
   std::function<std::unique_ptr<energy::Strategy>(
@@ -143,7 +144,9 @@ Registry<StrategyEntry>& strategies();
 /// numeric_demo (alias numeric).
 Registry<PlatformFactory>& platforms();
 /// ABFT policy registry: adaptive, none, single, full (aliases force_*).
-Registry<core::AbftPolicy>& abft_policies();
+/// The value is the checksum mode forced on every iteration; nullopt
+/// (adaptive) lets the strategy choose per iteration (paper Algorithm 1).
+Registry<std::optional<abft::ChecksumMode>>& abft_policies();
 /// Result-sink registry: table, csv, json.
 Registry<SinkFactory>& result_sinks();
 

@@ -1,36 +1,50 @@
 // bsr/run_config.hpp — the single validated configuration for one experiment.
 //
-// RunConfig merges the legacy core::RunOptions + core::ExtendedOptions pair
-// into one flat, string-keyed struct: strategies, ABFT policies, and platform
-// profiles are named by their bsr::Registry keys (see bsr/registry.hpp), so a
-// scenario registered at runtime plugs into RunConfig / Sweep without touching
-// core/. The legacy structs remain as a deprecated shim for one release
-// (docs/API_MIGRATION.md maps old calls to new ones).
+// RunConfig is one flat, string-keyed struct covering the whole experiment
+// space: strategies, ABFT policies, and platform profiles are named by their
+// bsr::Registry keys (see bsr/registry.hpp), so a scenario registered at
+// runtime plugs into RunConfig / Sweep without touching core/. Both engines,
+// the run report, and the serving layer consume it directly.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "core/options.hpp"
+#include "faultcamp/process.hpp"
+#include "predict/workload.hpp"
+#include "var/models.hpp"
 
 namespace bsr {
 
 namespace core {
 struct RunReport;
+
+/// TimingOnly runs the full scheduling/strategy/prediction machinery against
+/// the platform model (paper-scale inputs in milliseconds); Numeric
+/// additionally executes the real factorization with real ABFT and real fault
+/// injection (bounded input sizes).
+enum class ExecutionMode { TimingOnly, Numeric };
+
+/// "TimingOnly" / "Numeric" (the fingerprint and wire-format spelling).
+const char* to_string(ExecutionMode m);
+
+/// Performance-tuned block size for a given matrix order, mirroring the
+/// paper's "block size tuned for performance": roughly n/60 blocks rounded to
+/// the 64-grid and clamped to [64, 512] (512 at the paper's n = 30720).
+std::int64_t tuned_block(std::int64_t n);
+
+/// Parses "cholesky" (alias "cho") / "lu" / "qr" (case-insensitive); throws
+/// std::invalid_argument on anything else.
+predict::Factorization factorization_from_string(const std::string& s);
 }  // namespace core
 
 namespace obs {
 class TraceRecorder;
 }  // namespace obs
 
-/// Re-exported per-iteration ABFT policy (adaptive / force-none / -single /
-/// -full) so facade users never spell the legacy namespaces.
-using core::AbftPolicy;
 /// Re-exported execution mode: TimingOnly (simulated clocks) or Numeric
 /// (real kernels + real ABFT + fault injection).
 using core::ExecutionMode;
-/// Re-exported legacy strategy enum; prefer registry keys ("bsr", "sr", ...).
-using core::StrategyKind;
 /// Re-exported factorization selector: Cholesky, LU, or QR.
 using predict::Factorization;
 
@@ -147,17 +161,11 @@ struct RunConfig {
   [[nodiscard]] std::int64_t block() const;
 
   /// Throws std::invalid_argument (message prefixed "RunConfig:") when any
-  /// field is out of range or any registry key is unknown: n <= 0, b > n,
-  /// reclamation_ratio outside [0, 1], fc_desired outside (0, 1),
+  /// field is out of range or any registry key is unknown: n <= 0, b < 0,
+  /// b > n, reclamation_ratio outside [0, 1], fc_desired outside (0, 1),
   /// elem_bytes not 4/8, negative error_rate_multiplier, or an unregistered
   /// strategy / abft_policy / platform name.
   void validate() const;
-
-  /// Lowers to the legacy RunOptions; throws for registry-only strategies
-  /// (ones without a legacy StrategyKind tag).
-  [[nodiscard]] core::RunOptions options() const;
-  /// Lowers the extension knobs to the legacy ExtendedOptions.
-  [[nodiscard]] core::ExtendedOptions extended() const;
 
   /// Canonical "key=value;" serialization of every field. Fields with no
   /// effect on the result under the current mode (recover_uncorrectable in
@@ -170,10 +178,6 @@ struct RunConfig {
     return predict::WorkloadModel{factorization, n, block(), elem_bytes};
   }
 };
-
-/// Builds a RunConfig from the legacy option structs (migration shim).
-RunConfig from_legacy(const core::RunOptions& opts,
-                      const core::ExtendedOptions& ext = {});
 
 /// One-shot facade: validates, resolves the platform through the registry,
 /// and runs. Equivalent to core::Decomposer(make_platform(cfg.platform))

@@ -7,7 +7,11 @@
 namespace bsr {
 
 namespace {
-thread_local bool t_inside_pool_worker = false;
+// True while this thread executes chunks of a batch: always on pool workers,
+// and on a caller while it drains its own batch. A nested call from such a
+// participant runs serially — it must neither wait on the batch it is part of
+// nor replace it.
+thread_local bool t_participant = false;
 }  // namespace
 
 // Shared-ownership batch descriptor: every participant (workers + caller)
@@ -54,7 +58,7 @@ void ThreadPool::drain(const std::shared_ptr<Batch>& b) {
 }
 
 void ThreadPool::worker_loop() {
-  t_inside_pool_worker = true;
+  t_participant = true;
   for (;;) {
     std::shared_ptr<Batch> b;
     {
@@ -77,7 +81,7 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_ranges(
     std::size_t count, const std::function<void(std::size_t, std::size_t)>& fn) {
   if (count == 0) return;
-  if (workers_.empty() || t_inside_pool_worker || count == 1) {
+  if (workers_.empty() || t_participant || count == 1) {
     fn(0, count);
     return;
   }
@@ -85,14 +89,29 @@ void ThreadPool::parallel_ranges(
   batch->count = count;
   batch->grain = std::max<std::size_t>(1, count / (workers_.size() * 4));
   batch->range_fn = &fn;
+  bool busy = false;
   {
     std::lock_guard lk(mu_);
-    batch_ = batch;
+    busy = batch_ != nullptr;
+    if (!busy) batch_ = batch;
+  }
+  if (busy) {
+    // Another outside caller's batch is in flight: run inline instead of
+    // displacing it.
+    fn(0, count);
+    return;
   }
   work_cv_.notify_all();
-  drain(batch);  // the calling thread participates
+  t_participant = true;  // the calling thread participates
+  drain(batch);
+  t_participant = false;
+  // Wait on this batch's own completion count: only this batch's chunks can
+  // satisfy it, whatever other callers do with the pool meanwhile. Then
+  // retire it here too, so this thread's next call never finds its own
+  // finished batch still posted and mistakes the pool for busy.
   std::unique_lock lk(mu_);
-  done_cv_.wait(lk, [&] { return batch_ != batch; });
+  done_cv_.wait(lk, [&] { return batch->completed.load() == count; });
+  if (batch_ == batch) batch_ = nullptr;
 }
 
 void ThreadPool::parallel_for(std::size_t count,

@@ -27,8 +27,10 @@ class ThreadPool {
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
   /// Run fn(i) for i in [0, count), distributing contiguous chunks across the
-  /// pool; blocks until all iterations complete. Reentrant calls from inside a
-  /// worker fall back to serial execution to avoid deadlock.
+  /// pool; blocks until all iterations complete. Safe to call from any thread:
+  /// nested calls from a participant (a worker, or a caller draining its own
+  /// batch) and calls made while another caller's batch is in flight run
+  /// serially on the calling thread.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
   /// Like parallel_for but hands each worker a [begin, end) range.

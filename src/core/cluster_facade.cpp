@@ -101,38 +101,13 @@ cluster::ClusterOptions lower_options(const RunConfig& cfg) {
   // Registry-only strategies were already rejected by cfg.validate() on
   // every path into here; value() turns a violated precondition into a loud
   // bad_optional_access instead of silently running the wrong policy.
-  const StrategyEntry& entry = strategies().get(cfg.strategy);
-  switch (entry.kind.value()) {
-    case core::StrategyKind::Original:
-      o.strategy = cluster::ClusterStrategy::Original;
-      break;
-    case core::StrategyKind::R2H:
-      o.strategy = cluster::ClusterStrategy::R2H;
-      break;
-    case core::StrategyKind::SR:
-      o.strategy = cluster::ClusterStrategy::SR;
-      break;
-    case core::StrategyKind::BSR:
-      o.strategy = cluster::ClusterStrategy::BSR;
-      break;
-  }
+  o.strategy = strategies().get(cfg.strategy).kind.value();
   o.bsr.reclamation_ratio = cfg.reclamation_ratio;
   o.bsr.fc_desired = cfg.fc_desired;
   o.bsr.use_optimized_guardband = cfg.bsr_use_optimized_guardband;
   o.bsr.allow_overclocking = cfg.bsr_allow_overclocking;
   o.bsr.use_enhanced_predictor = cfg.bsr_use_enhanced_predictor;
-  switch (abft_policies().get(cfg.abft_policy)) {
-    case core::AbftPolicy::Adaptive: break;  // nullopt = per-device ABFT-OC
-    case core::AbftPolicy::ForceNone:
-      o.forced_abft = abft::ChecksumMode::None;
-      break;
-    case core::AbftPolicy::ForceSingle:
-      o.forced_abft = abft::ChecksumMode::SingleSide;
-      break;
-    case core::AbftPolicy::ForceFull:
-      o.forced_abft = abft::ChecksumMode::Full;
-      break;
-  }
+  o.forced_abft = abft_policies().get(cfg.abft_policy);  // nullopt = ABFT-OC
   o.seed = cfg.seed;
   o.noise.enabled = cfg.noise_enabled;
   o.variability = cfg.variability;
@@ -163,7 +138,8 @@ cluster::ClusterProfile profile_for(const RunConfig& cfg) {
 
 core::RunReport wrap(const RunConfig& cfg, const cluster::ClusterReport& cr) {
   core::RunReport report;
-  report.options = cfg.options();
+  report.config = cfg;
+  report.config.trace = nullptr;  // the recorder may not outlive the report
   report.strategy_name = strategies().canonical(cfg.strategy);
   report.trace.total_time = cr.makespan;
   report.trace.cpu_energy_j = cr.host.energy_j;

@@ -2,7 +2,7 @@
 // simulated CPU-GPU platform, optionally executing the real numerics with real
 // ABFT protection and fault injection.
 //
-// Quickstart (new API — see include/bsr/bsr.hpp and docs/API_MIGRATION.md):
+// Quickstart (see include/bsr/bsr.hpp):
 //   bsr::RunConfig cfg;                              // paper defaults
 //   cfg.factorization = bsr::Factorization::LU;
 //   cfg.strategy = "bsr";                            // registry key
@@ -11,11 +11,8 @@
 //   std::cout << report.total_energy_j() << " J\n";
 #pragma once
 
-#include <memory>
-
 #include "bsr/run_config.hpp"
 #include "core/report.hpp"
-#include "energy/strategy.hpp"
 #include "hw/platform.hpp"
 
 namespace bsr::core {
@@ -33,24 +30,7 @@ class Decomposer {
   /// Decomposer's platform is used (bsr::run(cfg) resolves the key).
   [[nodiscard]] RunReport run(const RunConfig& cfg) const;
 
-  /// DEPRECATED shims for the legacy RunOptions/ExtendedOptions pair; new
-  /// code should pass a RunConfig. Kept for one release.
-  [[nodiscard]] RunReport run(const RunOptions& opts) const {
-    return run(opts, ExtendedOptions{});
-  }
-  [[nodiscard]] RunReport run(const RunOptions& opts,
-                              const ExtendedOptions& ext) const;
-
-  /// Builds the strategy object for a kind (exposed for tests and benches).
-  /// Thin wrapper over the bsr::strategies() registry.
-  static std::unique_ptr<energy::Strategy> make_strategy(
-      StrategyKind kind, const predict::WorkloadModel& wl,
-      const RunOptions& opts, const ExtendedOptions& ext = ExtendedOptions{});
-
  private:
-  RunReport run_with(const RunOptions& opts, const ExtendedOptions& ext,
-                     energy::Strategy& strategy) const;
-
   hw::PlatformProfile platform_;
 };
 

@@ -21,22 +21,22 @@ Registry<StrategyEntry>& strategies() {
   static Registry<StrategyEntry> reg = [] {
     Registry<StrategyEntry> r("strategy");
     r.add("original",
-          {StrategyKind::Original,
+          {cluster::ClusterStrategy::Original,
            [](const RunConfig&, const predict::WorkloadModel&)
                -> std::unique_ptr<energy::Strategy> {
              return std::make_unique<energy::OriginalStrategy>();
            }});
-    r.add("r2h", {StrategyKind::R2H,
+    r.add("r2h", {cluster::ClusterStrategy::R2H,
                   [](const RunConfig&, const predict::WorkloadModel&)
                       -> std::unique_ptr<energy::Strategy> {
                     return std::make_unique<energy::RaceToHaltStrategy>();
                   }});
-    r.add("sr", {StrategyKind::SR,
+    r.add("sr", {cluster::ClusterStrategy::SR,
                  [](const RunConfig&, const predict::WorkloadModel& wl)
                      -> std::unique_ptr<energy::Strategy> {
                    return std::make_unique<energy::SlackReclamationStrategy>(wl);
                  }});
-    r.add("bsr", {StrategyKind::BSR,
+    r.add("bsr", {cluster::ClusterStrategy::BSR,
                   [](const RunConfig& cfg, const predict::WorkloadModel& wl)
                       -> std::unique_ptr<energy::Strategy> {
                     energy::BsrConfig c;
@@ -67,13 +67,13 @@ Registry<PlatformFactory>& platforms() {
   return reg;
 }
 
-Registry<core::AbftPolicy>& abft_policies() {
-  static Registry<core::AbftPolicy> reg = [] {
-    Registry<core::AbftPolicy> r("abft policy");
-    r.add("adaptive", core::AbftPolicy::Adaptive);
-    r.add("none", core::AbftPolicy::ForceNone);
-    r.add("single", core::AbftPolicy::ForceSingle);
-    r.add("full", core::AbftPolicy::ForceFull);
+Registry<std::optional<abft::ChecksumMode>>& abft_policies() {
+  static Registry<std::optional<abft::ChecksumMode>> reg = [] {
+    Registry<std::optional<abft::ChecksumMode>> r("abft policy");
+    r.add("adaptive", std::nullopt);
+    r.add("none", abft::ChecksumMode::None);
+    r.add("single", abft::ChecksumMode::SingleSide);
+    r.add("full", abft::ChecksumMode::Full);
     r.alias("force_none", "none");
     r.alias("force_single", "single");
     r.alias("force_full", "full");

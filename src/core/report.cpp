@@ -8,10 +8,8 @@ namespace bsr::core {
 // here so report.hpp stays header-light.)
 std::string summarize(const RunReport& r) {
   std::ostringstream ss;
-  ss << (r.strategy_name.empty() ? to_string(r.options.strategy)
-                                 : r.strategy_name.c_str())
-     << " " << to_string(r.options.factorization)
-     << " n=" << r.options.n << " b=" << r.options.b << ": " << r.seconds()
+  ss << r.strategy_name << " " << to_string(r.config.factorization)
+     << " n=" << r.config.n << " b=" << r.config.block() << ": " << r.seconds()
      << " s, " << r.total_energy_j() << " J (CPU " << r.cpu_energy_j()
      << " + GPU " << r.gpu_energy_j() << "), " << r.gflops() << " GFLOP/s";
   if (r.numeric_executed) {

@@ -5,7 +5,7 @@
 
 #include "abft/verify.hpp"
 #include "cluster/report.hpp"
-#include "core/options.hpp"
+#include "bsr/run_config.hpp"
 #include "sched/timeline.hpp"
 
 namespace bsr::core {
@@ -25,11 +25,11 @@ struct LaneFaults {
 };
 
 struct RunReport {
-  RunOptions options;
-  /// The strategy's registry key ("bsr", "original", or a runtime-registered
-  /// name). Authoritative where `options.strategy` is not: registry-only
-  /// strategies have no StrategyKind, so the enum field holds a BSR
-  /// placeholder for them.
+  /// The configuration that produced this report, with `trace` nulled (the
+  /// recorder observes one run and may not outlive it).
+  RunConfig config;
+  /// The strategy's canonical registry key ("bsr", "original", or a
+  /// runtime-registered name).
   std::string strategy_name;
   sched::RunTrace trace;
   abft::AbftStats abft;
@@ -39,7 +39,7 @@ struct RunReport {
   bool numeric_correct = true;   ///< residual below threshold
 
   /// Cost of redoing trailing updates after uncorrectable detections
-  /// (RunOptions::recover_uncorrectable); included in seconds()/energy.
+  /// (RunConfig::recover_uncorrectable); included in seconds()/energy.
   SimTime recovery_time;
   double recovery_energy_j = 0.0;
 
@@ -70,7 +70,7 @@ struct RunReport {
   }
   [[nodiscard]] double gflops() const {
     const double t = seconds();
-    return t <= 0.0 ? 0.0 : options.workload().total_flops() / t / 1e9;
+    return t <= 0.0 ? 0.0 : config.workload().total_flops() / t / 1e9;
   }
 
   /// Total faults sampled into the run's lanes (0 when faults were off).

@@ -13,6 +13,27 @@
 
 namespace bsr {
 
+namespace core {
+
+const char* to_string(ExecutionMode m) {
+  return m == ExecutionMode::TimingOnly ? "TimingOnly" : "Numeric";
+}
+
+std::int64_t tuned_block(std::int64_t n) {
+  const std::int64_t raw = (n / 60 + 32) / 64 * 64;
+  return std::clamp<std::int64_t>(raw, 64, 512);
+}
+
+predict::Factorization factorization_from_string(const std::string& s) {
+  const std::string v = ascii_lower(s);
+  if (v == "cholesky" || v == "cho") return predict::Factorization::Cholesky;
+  if (v == "lu") return predict::Factorization::LU;
+  if (v == "qr") return predict::Factorization::QR;
+  throw std::invalid_argument("unknown factorization: " + s);
+}
+
+}  // namespace core
+
 std::int64_t RunConfig::block() const {
   if (b > 0) return b;
   return std::min(core::tuned_block(n), n);
@@ -117,35 +138,6 @@ void RunConfig::validate() const {
   }
 }
 
-core::RunOptions RunConfig::options() const {
-  core::RunOptions o;
-  o.factorization = factorization;
-  o.n = n;
-  o.b = block();
-  o.strategy = core::strategy_from_string(strategy);
-  o.reclamation_ratio = reclamation_ratio;
-  o.fc_desired = fc_desired;
-  o.mode = mode;
-  o.seed = seed;
-  o.error_rate_multiplier = error_rate_multiplier;
-  o.noise_enabled = noise_enabled;
-  o.elem_bytes = elem_bytes;
-  o.recover_uncorrectable = recover_uncorrectable;
-  o.variability = variability;
-  o.faults = faults;
-  o.trace = trace;
-  return o;
-}
-
-core::ExtendedOptions RunConfig::extended() const {
-  core::ExtendedOptions e;
-  e.abft_policy = abft_policies().get(abft_policy);
-  e.bsr_use_optimized_guardband = bsr_use_optimized_guardband;
-  e.bsr_allow_overclocking = bsr_allow_overclocking;
-  e.bsr_use_enhanced_predictor = bsr_use_enhanced_predictor;
-  return e;
-}
-
 std::string RunConfig::fingerprint() const {
   const auto num = [](double v) {
     char buf[32];
@@ -228,39 +220,6 @@ std::string RunConfig::fingerprint() const {
   // trial's faults-off baseline shares the deterministic world's cache key.
   fp += ';' + faultcamp::fingerprint_fragment(faults);
   return fp;
-}
-
-RunConfig from_legacy(const core::RunOptions& opts,
-                      const core::ExtendedOptions& ext) {
-  RunConfig cfg;
-  cfg.factorization = opts.factorization;
-  cfg.n = opts.n;
-  cfg.b = opts.b;
-  cfg.elem_bytes = opts.elem_bytes;
-  cfg.strategy = ascii_lower(core::to_string(opts.strategy));
-  cfg.reclamation_ratio = opts.reclamation_ratio;
-  cfg.fc_desired = opts.fc_desired;
-  cfg.bsr_use_optimized_guardband = ext.bsr_use_optimized_guardband;
-  cfg.bsr_allow_overclocking = ext.bsr_allow_overclocking;
-  cfg.bsr_use_enhanced_predictor = ext.bsr_use_enhanced_predictor;
-  cfg.abft_policy = [&] {
-    switch (ext.abft_policy) {
-      case AbftPolicy::Adaptive: return "adaptive";
-      case AbftPolicy::ForceNone: return "none";
-      case AbftPolicy::ForceSingle: return "single";
-      case AbftPolicy::ForceFull: return "full";
-    }
-    return "adaptive";
-  }();
-  cfg.recover_uncorrectable = opts.recover_uncorrectable;
-  cfg.mode = opts.mode;
-  cfg.seed = opts.seed;
-  cfg.error_rate_multiplier = opts.error_rate_multiplier;
-  cfg.noise_enabled = opts.noise_enabled;
-  cfg.variability = opts.variability;
-  cfg.faults = opts.faults;
-  cfg.trace = opts.trace;
-  return cfg;
 }
 
 core::RunReport run(const RunConfig& cfg) {

@@ -16,14 +16,6 @@ namespace {
 // exactly those spellings (registry-key case-insensitivity is a CLI nicety,
 // not a wire-format one — this module only reads its own output).
 
-core::StrategyKind strategy_kind_from(const std::string& s) {
-  if (s == "Original") return core::StrategyKind::Original;
-  if (s == "R2H") return core::StrategyKind::R2H;
-  if (s == "SR") return core::StrategyKind::SR;
-  if (s == "BSR") return core::StrategyKind::BSR;
-  fail("unknown StrategyKind \"" + s + "\"");
-}
-
 core::ExecutionMode mode_from(const std::string& s) {
   if (s == "TimingOnly") return core::ExecutionMode::TimingOnly;
   if (s == "Numeric") return core::ExecutionMode::Numeric;
@@ -71,20 +63,6 @@ void write_var(JsonWriter& w, const var::Spec& s) {
   w.obj_close();
 }
 
-var::Spec read_var(const JsonValue& v) {
-  var::Spec s;
-  s.enabled = v.at("enabled").as_bool();
-  s.drift = v.at("drift").to_double();
-  s.drift_cap = v.at("drift_cap").to_double();
-  s.transfer_jitter = v.at("transfer_jitter").to_double();
-  s.dvfs_jitter = v.at("dvfs_jitter").to_double();
-  s.freq_quantum_mhz = as_int(v.at("freq_quantum_mhz"));
-  s.boost_budget_s = v.at("boost_budget_s").to_double();
-  s.boost_recovery = v.at("boost_recovery").to_double();
-  s.seed = v.at("seed").to_uint64();
-  return s;
-}
-
 // ---- faultcamp::Spec --------------------------------------------------------
 
 void write_faults(JsonWriter& w, const faultcamp::Spec& s) {
@@ -102,66 +80,6 @@ void write_faults(JsonWriter& w, const faultcamp::Spec& s) {
   w.key("rollback").value(s.rollback);
   w.key("seed").value_u64(s.seed);
   w.obj_close();
-}
-
-faultcamp::Spec read_faults(const JsonValue& v) {
-  faultcamp::Spec s;
-  s.enabled = v.at("enabled").as_bool();
-  s.process = process_from(v.at("process").as_string());
-  s.rate_multiplier = v.at("rate_multiplier").to_double();
-  s.background_rate_per_s = v.at("background_rate_per_s").to_double();
-  s.burst_mean = v.at("burst_mean").to_double();
-  s.hazard_sigma = v.at("hazard_sigma").to_double();
-  s.fixed_d0 = as_int(v.at("fixed_d0"));
-  s.fixed_d1 = as_int(v.at("fixed_d1"));
-  s.fixed_d2 = as_int(v.at("fixed_d2"));
-  s.correction_s = v.at("correction_s").to_double();
-  s.rollback = v.at("rollback").as_bool();
-  s.seed = v.at("seed").to_uint64();
-  return s;
-}
-
-// ---- core::RunOptions -------------------------------------------------------
-
-void write_options(JsonWriter& w, const core::RunOptions& o) {
-  w.obj_open();
-  w.key("factorization").value(predict::to_string(o.factorization));
-  w.key("n").value(o.n);
-  w.key("b").value(o.b);
-  w.key("strategy").value(core::to_string(o.strategy));
-  w.key("reclamation_ratio").value(o.reclamation_ratio);
-  w.key("fc_desired").value(o.fc_desired);
-  w.key("mode").value(core::to_string(o.mode));
-  w.key("seed").value_u64(o.seed);
-  w.key("error_rate_multiplier").value(o.error_rate_multiplier);
-  w.key("noise_enabled").value(o.noise_enabled);
-  w.key("elem_bytes").value(o.elem_bytes);
-  w.key("recover_uncorrectable").value(o.recover_uncorrectable);
-  w.key("variability");
-  write_var(w, o.variability);
-  w.key("faults");
-  write_faults(w, o.faults);
-  w.obj_close();
-}
-
-core::RunOptions read_options(const JsonValue& v) {
-  core::RunOptions o;
-  o.factorization =
-      core::factorization_from_string(v.at("factorization").as_string());
-  o.n = v.at("n").to_int64();
-  o.b = v.at("b").to_int64();
-  o.strategy = strategy_kind_from(v.at("strategy").as_string());
-  o.reclamation_ratio = v.at("reclamation_ratio").to_double();
-  o.fc_desired = v.at("fc_desired").to_double();
-  o.mode = mode_from(v.at("mode").as_string());
-  o.seed = v.at("seed").to_uint64();
-  o.error_rate_multiplier = v.at("error_rate_multiplier").to_double();
-  o.noise_enabled = v.at("noise_enabled").as_bool();
-  o.elem_bytes = as_int(v.at("elem_bytes"));
-  o.recover_uncorrectable = v.at("recover_uncorrectable").as_bool();
-  o.variability = read_var(v.at("variability"));
-  o.faults = read_faults(v.at("faults"));
-  return o;
 }
 
 // ---- sched::IterationOutcome / RunTrace -------------------------------------
@@ -364,10 +282,11 @@ core::LaneFaults read_lane(const JsonValue& v) {
   return l;
 }
 
-// ---- lenient spec readers for request configs -------------------------------
-// Reports round-trip strictly (every field present, read with at()); request
-// configs are hand-written, so their sub-objects follow the same
-// absent-means-default rule as the top level — but unknown keys still throw.
+// ---- lenient spec readers for configs ---------------------------------------
+// Report bodies are read strictly (every field present, read with at());
+// configs — hand-written in requests, written in full inside reports — follow
+// the absent-means-default rule down to their sub-objects, but unknown keys
+// still throw.
 
 var::Spec var_from_config(const JsonValue& value) {
   var::Spec s;
@@ -413,8 +332,7 @@ faultcamp::Spec faults_from_config(const JsonValue& value) {
 std::string serialize_report(const core::RunReport& report) {
   JsonWriter w;
   w.obj_open();
-  w.key("options");
-  write_options(w, report.options);
+  w.key("config").raw(serialize_config(report.config));
   w.key("strategy_name").value(report.strategy_name);
   w.key("trace");
   write_trace(w, report.trace);
@@ -437,7 +355,7 @@ std::string serialize_report(const core::RunReport& report) {
 
 core::RunReport deserialize_report(const JsonValue& value) {
   core::RunReport r;
-  r.options = read_options(value.at("options"));
+  r.config = config_from_json(value.at("config"));
   r.strategy_name = value.at("strategy_name").as_string();
   r.trace = read_trace(value.at("trace"));
   r.abft = read_abft(value.at("abft"));
@@ -487,6 +405,10 @@ std::string serialize_config(const RunConfig& c) {
   write_faults(w, c.faults);
   w.key("devices").value(c.devices);
   w.key("cluster").value(c.cluster);
+  w.key("grid_p").value(c.grid_p);
+  w.key("grid_q").value(c.grid_q);
+  w.key("collective").value(c.collective);
+  w.key("rebalance").value(c.rebalance);
   w.obj_close();
   return w.take();
 }
@@ -536,6 +458,14 @@ RunConfig config_from_json(const JsonValue& value) {
       c.devices = as_int(v);
     } else if (key == "cluster") {
       c.cluster = v.as_string();
+    } else if (key == "grid_p") {
+      c.grid_p = as_int(v);
+    } else if (key == "grid_q") {
+      c.grid_q = as_int(v);
+    } else if (key == "collective") {
+      c.collective = v.as_string();
+    } else if (key == "rebalance") {
+      c.rebalance = v.as_bool();
     } else {
       fail("unknown config field \"" + key + "\"");
     }

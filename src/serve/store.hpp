@@ -71,7 +71,7 @@ class DiskResultStore final : public ResultStore {
   [[nodiscard]] std::string record_path(const std::string& fingerprint) const;
 
   /// The on-disk schema version this build reads and writes.
-  static constexpr int kSchemaVersion = 1;
+  static constexpr int kSchemaVersion = 2;
 
  private:
   std::string dir_;

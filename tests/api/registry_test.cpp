@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "bsr/sweep.hpp"
 #include "core/decomposer.hpp"
@@ -19,27 +21,27 @@ TEST(Registry, BuiltInStrategiesRoundTrip) {
   // Containment, not exact size: sibling tests legitimately register extra
   // strategies into the process-global registry, and test order is not
   // guaranteed (--gtest_shuffle).
-  for (const char* name : {"original", "r2h", "sr", "bsr"}) {
+  const std::pair<const char*, cluster::ClusterStrategy> builtins[] = {
+      {"original", cluster::ClusterStrategy::Original},
+      {"r2h", cluster::ClusterStrategy::R2H},
+      {"sr", cluster::ClusterStrategy::SR},
+      {"bsr", cluster::ClusterStrategy::BSR}};
+  for (const auto& [name, tag] : builtins) {
     const std::string key = name;
     ASSERT_TRUE(strategies().contains(key)) << key;
-    // Every built-in carries a legacy StrategyKind whose printed name lowers
-    // back to the canonical registry key.
+    // Every built-in carries the cluster engine's tag for the same policy.
     const StrategyEntry& entry = strategies().get(key);
     ASSERT_TRUE(entry.kind.has_value()) << key;
-    std::string printed = core::to_string(*entry.kind);
-    std::transform(printed.begin(), printed.end(), printed.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    EXPECT_EQ(printed, key);
-    // And the legacy parser is a thin wrapper over the same entry.
-    EXPECT_EQ(core::strategy_from_string(key), *entry.kind);
+    EXPECT_EQ(*entry.kind, tag) << key;
+    EXPECT_EQ(strategies().canonical(key), key);
     // The factory builds a real strategy object.
     RunConfig cfg;
     cfg.strategy = key;
     EXPECT_NE(entry.make(cfg, cfg.workload()), nullptr);
   }
   // Case-insensitivity and aliases keep working through the registry.
-  EXPECT_EQ(core::strategy_from_string("BSR"), StrategyKind::BSR);
-  EXPECT_EQ(core::strategy_from_string("org"), StrategyKind::Original);
+  EXPECT_EQ(strategies().get("BSR").kind, cluster::ClusterStrategy::BSR);
+  EXPECT_EQ(strategies().get("org").kind, cluster::ClusterStrategy::Original);
 }
 
 TEST(Registry, BuiltInPlatformsRoundTrip) {
@@ -54,12 +56,11 @@ TEST(Registry, BuiltInPlatformsRoundTrip) {
 }
 
 TEST(Registry, BuiltInAbftPoliciesRoundTrip) {
-  EXPECT_EQ(core::abft_policy_from_string("adaptive"),
-            core::AbftPolicy::Adaptive);
-  EXPECT_EQ(core::abft_policy_from_string("none"), core::AbftPolicy::ForceNone);
-  EXPECT_EQ(core::abft_policy_from_string("force_single"),
-            core::AbftPolicy::ForceSingle);
-  EXPECT_EQ(core::abft_policy_from_string("Full"), core::AbftPolicy::ForceFull);
+  EXPECT_EQ(abft_policies().get("adaptive"), std::nullopt);
+  EXPECT_EQ(abft_policies().get("none"), abft::ChecksumMode::None);
+  EXPECT_EQ(abft_policies().get("force_single"),
+            abft::ChecksumMode::SingleSide);
+  EXPECT_EQ(abft_policies().get("Full"), abft::ChecksumMode::Full);
 }
 
 TEST(Registry, DuplicateRegistrationRejected) {
@@ -119,10 +120,11 @@ TEST(Registry, RuntimeRegisteredStrategyRunsEverywhere) {
   EXPECT_NE(core::summarize(twin).find("registry_test_original_twin"),
             std::string::npos);
 
-  // The legacy enum surface refuses registry-only strategies with a pointer
-  // to the new API instead of misbehaving.
-  EXPECT_THROW(core::strategy_from_string("registry_test_original_twin"),
-               std::invalid_argument);
+  // The cluster engine, which has no generalization of it, refuses it
+  // instead of misbehaving.
+  RunConfig scaled = cfg;
+  scaled.devices = 2;
+  EXPECT_THROW(scaled.validate(), std::invalid_argument);
 
   // And the Sweep engine treats it like any built-in.
   const SweepResult grid =

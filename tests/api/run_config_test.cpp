@@ -1,11 +1,12 @@
-// RunConfig: validation, legacy lowering, fingerprint semantics, and
-// equivalence of the new facade with the deprecated RunOptions path.
+// RunConfig: validation, fingerprint semantics, the config a report carries,
+// and equivalence of the free facade with an explicit Decomposer.
 #include "bsr/run_config.hpp"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
+#include "bsr/observability.hpp"
 #include "bsr/registry.hpp"
 #include "core/decomposer.hpp"
 
@@ -67,47 +68,39 @@ TEST(RunConfig, ValidateMessageNamesTheField) {
   }
 }
 
-TEST(RunConfig, LegacyLoweringRoundTrips) {
-  RunConfig cfg;
-  cfg.factorization = Factorization::QR;
-  cfg.n = 8192;
-  cfg.b = 256;
-  cfg.strategy = "sr";
-  cfg.abft_policy = "single";
-  cfg.seed = 7;
-  cfg.noise_enabled = false;
-  cfg.bsr_allow_overclocking = false;
-
-  const core::RunOptions opts = cfg.options();
-  EXPECT_EQ(opts.strategy, StrategyKind::SR);
-  EXPECT_EQ(opts.n, 8192);
-  EXPECT_EQ(opts.b, 256);
-  EXPECT_EQ(opts.seed, 7u);
-  EXPECT_FALSE(opts.noise_enabled);
-  const core::ExtendedOptions ext = cfg.extended();
-  EXPECT_EQ(ext.abft_policy, AbftPolicy::ForceSingle);
-  EXPECT_FALSE(ext.bsr_allow_overclocking);
-
-  const RunConfig back = from_legacy(opts, ext);
-  EXPECT_EQ(back.strategy, "sr");
-  EXPECT_EQ(back.abft_policy, "single");
-  EXPECT_EQ(back.fingerprint(), cfg.fingerprint());
-}
-
-TEST(RunConfig, NewAndLegacyPathsProduceIdenticalReports) {
+TEST(RunConfig, FacadeAndDecomposerProduceIdenticalReports) {
   RunConfig cfg;
   cfg.n = 4096;
   cfg.strategy = "bsr";
   cfg.reclamation_ratio = 0.25;
 
   const core::Decomposer dec;
-  const core::RunReport via_config = dec.run(cfg);
-  const core::RunReport via_legacy = dec.run(cfg.options(), cfg.extended());
-  EXPECT_DOUBLE_EQ(via_config.total_energy_j(), via_legacy.total_energy_j());
-  EXPECT_DOUBLE_EQ(via_config.seconds(), via_legacy.seconds());
-  EXPECT_DOUBLE_EQ(via_config.ed2p(), via_legacy.ed2p());
-  ASSERT_EQ(via_config.trace.iterations.size(),
-            via_legacy.trace.iterations.size());
+  const core::RunReport via_decomposer = dec.run(cfg);
+  const core::RunReport via_facade = run(cfg);
+  EXPECT_DOUBLE_EQ(via_decomposer.total_energy_j(),
+                   via_facade.total_energy_j());
+  EXPECT_DOUBLE_EQ(via_decomposer.seconds(), via_facade.seconds());
+  EXPECT_DOUBLE_EQ(via_decomposer.ed2p(), via_facade.ed2p());
+  ASSERT_EQ(via_decomposer.trace.iterations.size(),
+            via_facade.trace.iterations.size());
+}
+
+TEST(RunConfig, ReportCarriesItsConfigWithoutTheRecorder) {
+  obs::TraceRecorder recorder;
+  RunConfig cfg;
+  cfg.n = 4096;
+  cfg.strategy = "BSR";  // non-canonical spelling
+  cfg.trace = &recorder;
+  const core::RunReport single = run(cfg);
+  EXPECT_EQ(single.config.fingerprint(), cfg.fingerprint());
+  EXPECT_EQ(single.config.trace, nullptr);
+  EXPECT_EQ(single.strategy_name, "bsr");
+
+  cfg.devices = 2;  // the cluster engine reports the same way
+  const core::RunReport scaled = run(cfg);
+  EXPECT_EQ(scaled.config.fingerprint(), cfg.fingerprint());
+  EXPECT_EQ(scaled.config.trace, nullptr);
+  EXPECT_EQ(scaled.strategy_name, "bsr");
 }
 
 TEST(RunConfig, FingerprintDistinguishesResultRelevantFields) {

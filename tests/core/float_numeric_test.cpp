@@ -3,21 +3,28 @@
 // for float as it does for double.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/decomposer.hpp"
 
 namespace bsr::core {
 namespace {
 
-RunOptions float_opts(predict::Factorization f) {
-  RunOptions o;
+RunConfig float_opts(predict::Factorization f) {
+  RunConfig o;
   o.factorization = f;
   o.n = 256;
   o.b = 32;
   o.elem_bytes = 4;
   o.mode = ExecutionMode::Numeric;
-  o.strategy = StrategyKind::Original;
+  o.strategy = "original";
   o.seed = 9;
   return o;
+}
+
+RunConfig with_abft(RunConfig c, const std::string& policy) {
+  c.abft_policy = policy;
+  return c;
 }
 
 class FloatCleanRuns
@@ -41,7 +48,7 @@ TEST(FloatNumeric, TransferBytesHalveVsDouble) {
   // elem_bytes feeds the workload model: single precision halves the panel
   // traffic, which (slightly) widens CPU-side slack as in paper Fig. 2.
   const Decomposer dec;
-  RunOptions o = float_opts(predict::Factorization::LU);
+  RunConfig o = float_opts(predict::Factorization::LU);
   o.mode = ExecutionMode::TimingOnly;
   o.n = 30720;
   o.b = 512;
@@ -54,17 +61,17 @@ TEST(FloatNumeric, TransferBytesHalveVsDouble) {
 
 TEST(FloatNumeric, InjectionAndFullAbftRepairInFloat) {
   const Decomposer dec(hw::PlatformProfile::numeric_demo());
-  RunOptions o = float_opts(predict::Factorization::LU);
+  RunConfig o = float_opts(predict::Factorization::LU);
   o.n = 1024;
-  o.strategy = StrategyKind::BSR;
+  o.strategy = "bsr";
   o.reclamation_ratio = 0.25;
   o.fc_desired = 0.999;
   o.error_rate_multiplier = 100.0;
   o.seed = 5;
-  const RunReport none = dec.run(o, ExtendedOptions{AbftPolicy::ForceNone});
+  const RunReport none = dec.run(with_abft(o, "none"));
   EXPECT_GT(none.abft.errors_injected_total(), 0);
   EXPECT_FALSE(none.numeric_correct);
-  const RunReport full = dec.run(o, ExtendedOptions{AbftPolicy::ForceFull});
+  const RunReport full = dec.run(with_abft(o, "full"));
   EXPECT_TRUE(full.numeric_correct) << "residual=" << full.residual;
 }
 

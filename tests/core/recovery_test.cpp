@@ -3,17 +3,19 @@
 // overhead" path the paper contrasts against sufficient checksum strength.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/decomposer.hpp"
 
 namespace bsr::core {
 namespace {
 
-RunOptions injected_single(std::uint64_t seed) {
-  RunOptions o;
+RunConfig injected_single(std::uint64_t seed) {
+  RunConfig o;
   o.factorization = predict::Factorization::LU;
   o.n = 1024;
   o.b = 32;
-  o.strategy = StrategyKind::BSR;
+  o.strategy = "bsr";
   o.reclamation_ratio = 0.25;
   o.fc_desired = 0.999;
   o.mode = ExecutionMode::Numeric;
@@ -24,12 +26,17 @@ RunOptions injected_single(std::uint64_t seed) {
   return o;
 }
 
+RunConfig with_abft(RunConfig c, const std::string& policy) {
+  c.abft_policy = policy;
+  return c;
+}
+
 /// Finds a seed where single-side ABFT hits an uncorrectable pattern; the
 /// paper's whole point is that such runs exist at these rates.
 std::uint64_t find_corrupting_seed(const Decomposer& dec) {
   for (std::uint64_t seed = 1; seed < 60; ++seed) {
-    RunOptions o = injected_single(seed);
-    const RunReport r = dec.run(o, ExtendedOptions{AbftPolicy::ForceSingle});
+    RunConfig o = injected_single(seed);
+    const RunReport r = dec.run(with_abft(o, "single"));
     if (r.abft.uncorrectable > 0 && !r.numeric_correct) return seed;
   }
   return 0;
@@ -40,16 +47,16 @@ TEST(Recovery, RepairsRunsSingleSideAbftLosesAndChargesTime) {
   const std::uint64_t seed = find_corrupting_seed(dec);
   ASSERT_NE(seed, 0u) << "no corrupting seed found — rates too low?";
 
-  RunOptions o = injected_single(seed);
+  RunConfig o = injected_single(seed);
   const RunReport no_recovery =
-      dec.run(o, ExtendedOptions{AbftPolicy::ForceSingle});
+      dec.run(with_abft(o, "single"));
   EXPECT_FALSE(no_recovery.numeric_correct);
   EXPECT_EQ(no_recovery.abft.recoveries, 0);
   EXPECT_EQ(no_recovery.recovery_time, SimTime::zero());
 
   o.recover_uncorrectable = true;
   const RunReport recovered =
-      dec.run(o, ExtendedOptions{AbftPolicy::ForceSingle});
+      dec.run(with_abft(o, "single"));
   EXPECT_TRUE(recovered.numeric_correct) << "residual=" << recovered.residual;
   EXPECT_GT(recovered.abft.recoveries, 0);
   EXPECT_GT(recovered.recovery_time, SimTime::zero());
@@ -61,10 +68,10 @@ TEST(Recovery, RepairsRunsSingleSideAbftLosesAndChargesTime) {
 
 TEST(Recovery, NoOpWhenNothingUncorrectable) {
   const Decomposer dec(hw::PlatformProfile::numeric_demo());
-  RunOptions o = injected_single(5);
+  RunConfig o = injected_single(5);
   o.recover_uncorrectable = true;
   // Full ABFT corrects everything: recovery never triggers.
-  const RunReport r = dec.run(o, ExtendedOptions{AbftPolicy::ForceFull});
+  const RunReport r = dec.run(with_abft(o, "full"));
   EXPECT_TRUE(r.numeric_correct);
   EXPECT_EQ(r.abft.recoveries, 0);
   EXPECT_EQ(r.recovery_time, SimTime::zero());
@@ -75,11 +82,11 @@ TEST(Recovery, WorksForCholeskyAndQr) {
   for (auto f : {predict::Factorization::Cholesky, predict::Factorization::QR}) {
     bool saw_recovery = false;
     for (std::uint64_t seed = 1; seed < 40 && !saw_recovery; ++seed) {
-      RunOptions o = injected_single(seed);
+      RunConfig o = injected_single(seed);
       o.factorization = f;
       o.n = 512;
       o.recover_uncorrectable = true;
-      const RunReport r = dec.run(o, ExtendedOptions{AbftPolicy::ForceSingle});
+      const RunReport r = dec.run(with_abft(o, "single"));
       if (r.abft.recoveries > 0) {
         saw_recovery = true;
         EXPECT_TRUE(r.numeric_correct)

@@ -13,10 +13,10 @@ namespace {
 
 RunReport small_run() {
   Decomposer dec;
-  RunOptions o;
+  RunConfig o;
   o.n = 4096;
   o.b = 512;
-  o.strategy = StrategyKind::BSR;
+  o.strategy = "bsr";
   o.reclamation_ratio = 0.2;
   return dec.run(o);
 }

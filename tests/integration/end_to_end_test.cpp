@@ -12,20 +12,20 @@ TEST(EndToEnd, FullMatrixOfStrategiesAndFactorizations) {
   const Decomposer dec;
   for (auto f : {predict::Factorization::Cholesky, predict::Factorization::LU,
                  predict::Factorization::QR}) {
-    RunOptions base;
+    RunConfig base;
     base.factorization = f;
     base.n = 16384;
     base.b = 512;
-    base.strategy = StrategyKind::Original;
+    base.strategy = "original";
     const RunReport org = dec.run(base);
-    for (auto s : {StrategyKind::R2H, StrategyKind::SR, StrategyKind::BSR}) {
-      RunOptions o = base;
+    for (const char* s : {"r2h", "sr", "bsr"}) {
+      RunConfig o = base;
       o.strategy = s;
       const RunReport r = dec.run(o);
       EXPECT_GT(r.energy_saving_vs(org), 0.0)
-          << predict::to_string(f) << "/" << to_string(s);
+          << predict::to_string(f) << "/" << s;
       EXPECT_LT(r.seconds(), org.seconds() * 1.06)
-          << predict::to_string(f) << "/" << to_string(s);
+          << predict::to_string(f) << "/" << s;
     }
   }
 }
@@ -35,10 +35,10 @@ TEST(EndToEnd, ParetoSweepIsMonotoneInPerformance) {
   const Decomposer dec;
   double prev_time = 1e300;
   for (double r : {0.0, 0.1, 0.2, 0.3}) {
-    RunOptions o;
+    RunConfig o;
     o.n = 30720;
     o.b = 512;
-    o.strategy = StrategyKind::BSR;
+    o.strategy = "bsr";
     o.reclamation_ratio = r;
     const double t = dec.run(o).seconds();
     EXPECT_LT(t, prev_time * 1.005) << "r=" << r;
@@ -49,12 +49,12 @@ TEST(EndToEnd, ParetoSweepIsMonotoneInPerformance) {
 TEST(EndToEnd, MaxPerformanceImprovementIsSubstantial) {
   // Paper: up to 1.38x-1.51x vs Original with equal-or-less energy.
   const Decomposer dec;
-  RunOptions o;
+  RunConfig o;
   o.n = 30720;
   o.b = 512;
-  o.strategy = StrategyKind::Original;
+  o.strategy = "original";
   const RunReport org = dec.run(o);
-  o.strategy = StrategyKind::BSR;
+  o.strategy = "bsr";
   o.reclamation_ratio = 0.3;
   const RunReport bsr = dec.run(o);
   EXPECT_GT(bsr.speedup_vs(org), 1.1);
@@ -64,12 +64,12 @@ TEST(EndToEnd, SmallMatricesSaveLess) {
   // Fig. 13: energy saving shrinks for small inputs.
   const Decomposer dec;
   auto saving_at = [&](std::int64_t n) {
-    RunOptions o;
+    RunConfig o;
     o.n = n;
     o.b = tuned_block(n);  // the paper tunes the block size per input size
-    o.strategy = StrategyKind::Original;
+    o.strategy = "original";
     const RunReport org = dec.run(o);
-    o.strategy = StrategyKind::BSR;
+    o.strategy = "bsr";
     return dec.run(o).energy_saving_vs(org);
   };
   EXPECT_GT(saving_at(30720), saving_at(5120));
@@ -79,11 +79,11 @@ TEST(EndToEnd, NumericBsrRunMatchesTimingBsrSchedule) {
   // The numeric path must not perturb the timing path: same options give the
   // same trace whether or not real math runs alongside.
   const Decomposer dec;
-  RunOptions o;
+  RunConfig o;
   o.factorization = predict::Factorization::LU;
   o.n = 256;
   o.b = 32;
-  o.strategy = StrategyKind::BSR;
+  o.strategy = "bsr";
   o.reclamation_ratio = 0.2;
   o.mode = ExecutionMode::TimingOnly;
   const RunReport timing = dec.run(o);
@@ -98,17 +98,17 @@ TEST(EndToEnd, AnalyticRStarAgreesWithSweptKnee) {
   // The Newton/bisection r* from the closed forms should sit near the
   // empirical energy-neutral point of a BSR r-sweep.
   const Decomposer dec;
-  RunOptions o;
+  RunConfig o;
   o.n = 30720;
   o.b = 512;
-  o.strategy = StrategyKind::Original;
+  o.strategy = "original";
   const RunReport org = dec.run(o);
   const double r_star =
       energy::average_energy_neutral_r(org.trace, dec.platform());
   EXPECT_GT(r_star, 0.05);
   EXPECT_LT(r_star, 0.8);
   // At r just below r*, BSR should still not exceed Original's energy.
-  o.strategy = StrategyKind::BSR;
+  o.strategy = "bsr";
   o.reclamation_ratio = std::max(0.0, r_star - 0.1);
   const RunReport near_knee = dec.run(o);
   EXPECT_LE(near_knee.total_energy_j(), org.total_energy_j() * 1.02);

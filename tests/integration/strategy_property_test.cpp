@@ -17,13 +17,13 @@ class StrategyGrid
 TEST_P(StrategyGrid, BsrNeverSlowerAndNeverProtectsFaultFreeClocks) {
   const auto [fact, n, r] = GetParam();
   const Decomposer dec;
-  RunOptions o;
+  RunConfig o;
   o.factorization = fact;
   o.n = n;
   o.b = tuned_block(n);
-  o.strategy = StrategyKind::Original;
+  o.strategy = "original";
   const RunReport org = dec.run(o);
-  o.strategy = StrategyKind::BSR;
+  o.strategy = "bsr";
   o.reclamation_ratio = r;
   const RunReport bsr = dec.run(o);
 
@@ -62,17 +62,17 @@ class SeedSweep : public ::testing::TestWithParam<int> {};
 TEST_P(SeedSweep, OrderingRobustToNoiseRealization) {
   // The BSR > SR > R2H energy ordering must survive any noise seed.
   const Decomposer dec;
-  RunOptions o;
+  RunConfig o;
   o.n = 30720;
   o.b = 512;
   o.seed = static_cast<std::uint64_t>(GetParam()) * 7919 + 3;
-  o.strategy = StrategyKind::Original;
+  o.strategy = "original";
   const RunReport org = dec.run(o);
-  o.strategy = StrategyKind::R2H;
+  o.strategy = "r2h";
   const RunReport r2h = dec.run(o);
-  o.strategy = StrategyKind::SR;
+  o.strategy = "sr";
   const RunReport sr = dec.run(o);
-  o.strategy = StrategyKind::BSR;
+  o.strategy = "bsr";
   const RunReport bsr = dec.run(o);
   EXPECT_LT(bsr.total_energy_j(), sr.total_energy_j());
   EXPECT_LT(sr.total_energy_j(), r2h.total_energy_j());
@@ -86,10 +86,10 @@ class BlockSweep : public ::testing::TestWithParam<std::int64_t> {};
 TEST_P(BlockSweep, PipelineInvariantsAcrossBlockSizes) {
   const std::int64_t b = GetParam();
   const Decomposer dec;
-  RunOptions o;
+  RunConfig o;
   o.n = 16384;
   o.b = b;
-  o.strategy = StrategyKind::BSR;
+  o.strategy = "bsr";
   const RunReport r = dec.run(o);
   const int expected_iters = static_cast<int>((o.n + b - 1) / b);
   EXPECT_EQ(static_cast<int>(r.trace.iterations.size()), expected_iters);
@@ -109,10 +109,10 @@ TEST(StrategyProperty, MonotoneEnergyInReclamationRatio) {
   // Along the r sweep, energy must be non-decreasing (Pareto frontier shape)
   // up to small DVFS-grid plateaus.
   const Decomposer dec;
-  RunOptions o;
+  RunConfig o;
   o.n = 30720;
   o.b = 512;
-  o.strategy = StrategyKind::BSR;
+  o.strategy = "bsr";
   double prev = 0.0;
   for (double r = 0.0; r <= 0.45; r += 0.05) {
     o.reclamation_ratio = r;
@@ -126,10 +126,10 @@ TEST(StrategyProperty, TimingModeIndependentOfExecutionMode) {
   // The schedule must be a pure function of options, not of whether the
   // numerics run alongside (numeric runs at a small size for speed).
   const Decomposer dec;
-  RunOptions o;
+  RunConfig o;
   o.n = 192;
   o.b = 32;
-  o.strategy = StrategyKind::SR;
+  o.strategy = "sr";
   o.mode = ExecutionMode::TimingOnly;
   const RunReport t = dec.run(o);
   o.mode = ExecutionMode::Numeric;

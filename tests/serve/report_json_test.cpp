@@ -92,6 +92,7 @@ TEST(ReportJson, MetricsSurviveTheRoundTrip) {
   EXPECT_EQ(restored.total_energy_j(), report.total_energy_j());
   EXPECT_EQ(restored.ed2p(), report.ed2p());
   EXPECT_EQ(restored.gflops(), report.gflops());
+  EXPECT_EQ(restored.config.fingerprint(), report.config.fingerprint());
   ASSERT_EQ(restored.trace.iterations.size(), report.trace.iterations.size());
 }
 
@@ -110,11 +111,21 @@ TEST(ConfigJson, RoundTripPreservesTheFingerprint) {
   RunConfig cfg = faulty_config();
   cfg.strategy = "sr";
   cfg.seed = 123456789012345ULL;
-  const RunConfig restored =
-      config_from_json(JsonValue::parse(serialize_config(cfg)));
-  EXPECT_EQ(restored.fingerprint(), cfg.fingerprint());
-  EXPECT_EQ(restored.seed, cfg.seed);
-  EXPECT_EQ(restored.strategy, cfg.strategy);
+  // A rack run with every cluster layout knob off its default.
+  RunConfig rack;
+  rack.cluster = "rack_8x8";
+  rack.devices = 8;
+  rack.grid_p = 2;
+  rack.grid_q = 4;
+  rack.collective = "ring";
+  rack.rebalance = true;
+  for (const RunConfig& in : {cfg, rack}) {
+    const RunConfig restored =
+        config_from_json(JsonValue::parse(serialize_config(in)));
+    EXPECT_EQ(restored.fingerprint(), in.fingerprint());
+    EXPECT_EQ(restored.seed, in.seed);
+    EXPECT_EQ(restored.strategy, in.strategy);
+  }
 }
 
 TEST(ConfigJson, AbsentFieldsKeepDefaults) {

@@ -106,6 +106,13 @@ TEST(DiskResultStore, OldSchemaVersionIsRejected) {
                 "\",\"report\":" + report_json + "}");
   EXPECT_EQ(store.load_serialized(fp), nullptr);
   EXPECT_EQ(store.stats().rejected, 1u);
+
+  // Schema 1 embedded the legacy options block; such records are misses.
+  overwrite(store.record_path(fp),
+            "{\"schema\":1,\"fingerprint\":\"" + fp +
+                "\",\"report\":" + report_json + "}");
+  EXPECT_EQ(store.load_serialized(fp), nullptr);
+  EXPECT_EQ(store.stats().rejected, 2u);
 }
 
 TEST(DiskResultStore, FingerprintMismatchIsRejected) {
@@ -129,7 +136,8 @@ TEST(DiskResultStore, DeserializationFailureInsideAValidEnvelopeRejects) {
   DiskResultStore store(fresh_dir("badreport"));
   const std::string fp = "fp-badreport";
   overwrite(store.record_path(fp),
-            "{\"schema\":1,\"fingerprint\":\"" + fp +
+            "{\"schema\":" + std::to_string(DiskResultStore::kSchemaVersion) +
+                ",\"fingerprint\":\"" + fp +
                 "\",\"report\":{\"not_a_report\":true}}");
   // load_serialized trusts the envelope; load() must still reject loudly.
   EXPECT_EQ(store.load(fp), nullptr);
