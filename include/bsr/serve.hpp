@@ -10,12 +10,12 @@
 //
 //   bsr::serve::DiskResultStore store("/var/tmp/bsr-store");
 //   cfg.validate();
-//   auto cached = store.load(cfg.fingerprint());   // cross-process, durable
-//
-//   bsr::Sweep sweep;                               // or mount it in a sweep:
-//   sweep.store(std::make_shared<bsr::serve::DiskResultStore>(dir));
-//   auto result = sweep.over(bsr::n_axis({2048, 4096})).run();
-//   sweep.counters().store_hits;                    // served without running
+//   bsr::RunReport report;                          // cross-process, durable
+//   if (!store.load_serialized(cfg.fingerprint(), &report)) {
+//     report = bsr::run(cfg);
+//     store.save_serialized(cfg.fingerprint(),
+//                           bsr::serve::serialize_report(report));
+//   }
 //
 //   bsr::serve::ServerConfig scfg;                  // or serve it:
 //   scfg.socket_path = "/tmp/bsr.sock";
@@ -37,8 +37,9 @@
 //     beyond that, clients get one explicit
 //     {"ok":false,"error":"overloaded","retry":true} line, never an
 //     unbounded queue.
-//   * Loud store misses: corrupt, old-schema, or mismatched records warn on
-//     stderr and count as misses — never a crash, never a wrong result.
+//   * Loud store misses: corrupt, old-schema, mismatched, or undeserializable
+//     records warn on stderr and count as misses — never a crash, never a
+//     wrong result.
 //
 // The wire protocol (newline-delimited JSON over a Unix socket or localhost
 // TCP) is specified in docs/SERVING.md; serve/protocol.hpp implements it.

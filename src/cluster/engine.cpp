@@ -116,8 +116,6 @@ class ClusterRun {
     over_.resize(lanes_.size());
     lane_t_.resize(lanes_.size());
     arrival_.resize(static_cast<std::size_t>(profile_.num_devices()));
-    upd_scheduled_.assign(
-        static_cast<std::size_t>(iters_) * lanes_.size(), false);
     if (opt_.rebalance) {
       eff_share_.assign(static_cast<std::size_t>(iters_) *
                             static_cast<std::size_t>(profile_.num_devices()),
@@ -198,8 +196,8 @@ class ClusterRun {
     lane.first = std::make_unique<predict::FirstIterationPredictor>(wl_);
     lane.noise.assign(static_cast<std::size_t>(iters_), 1.0);
     if (opt_.noise.enabled && iters_ > 1) {
-      const double drift = index == 0 ? opt_.noise.cpu_drift
-                                      : opt_.noise.gpu_drift;
+      const double drift = index == 0 ? sched::NoiseModel::kCpuDrift
+                                      : sched::NoiseModel::kGpuDrift;
       Rng rng(opt_.seed +
               0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(index + 1));
       for (int k = 0; k < iters_; ++k) {
@@ -207,7 +205,7 @@ class ClusterRun {
             static_cast<double>(k) / static_cast<double>(iters_ - 1);
         lane.noise[static_cast<std::size_t>(k)] =
             (1.0 + drift * progress * progress) *
-            std::exp(rng.normal(0.0, opt_.noise.sigma));
+            std::exp(rng.normal(0.0, sched::NoiseModel::kSigma));
       }
     }
     if (opt_.variability.enabled) {
@@ -966,18 +964,9 @@ class ClusterRun {
     }
   }
 
+  /// Runs device d's update of iteration k. Each (k, d) is scheduled exactly
+  /// once: finish_pd() runs once per k and its row groups are disjoint.
   void start_update(int k, int d) {
-    // Purely defensive: today each (k, d) update has exactly one scheduling
-    // site (finish_pd's broadcast/relay loop runs once per k), so this guard
-    // never fires. It exists so a future second arrival path — e.g. a
-    // multi-hop relay or a re-broadcast on failure — degrades to a no-op
-    // instead of double-charging the lane.
-    const std::size_t slot =
-        static_cast<std::size_t>(k) * lanes_.size() +
-        static_cast<std::size_t>(1 + d);
-    if (upd_scheduled_[slot]) return;
-    upd_scheduled_[slot] = true;
-
     Lane& lane = lanes_[static_cast<std::size_t>(1 + d)];
     LaneDecision dec = plan_row(k)[static_cast<std::size_t>(1 + d)];
     // Protection matches the clock that actually runs: by now the lane's
@@ -1175,7 +1164,6 @@ class ClusterRun {
   std::vector<double> weights_;    ///< rebalance_shares() scratch
   std::vector<SimTime> arrival_;              ///< finish_pd() scratch
   std::vector<int> recips_, leaders_, group_;  ///< broadcast-job scratch
-  std::vector<char> upd_scheduled_;
 };
 
 }  // namespace

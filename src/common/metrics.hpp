@@ -2,9 +2,9 @@
 // Prometheus-style text exposition writer.
 //
 // Every long-lived stat in the repo used to live in its own ad-hoc struct
-// (`ServeStats`, the Sweep cache counters, `StoreStats`); this registry gives
-// them one home with one naming scheme (`bsr_<subsystem>_<what>[_<unit>]`,
-// see docs/OBSERVABILITY.md) and one machine-readable output format, so the
+// (`ServeStats`, `StoreStats`); this registry gives them one home with one
+// naming scheme (`bsr_<subsystem>_<what>[_<unit>]`, see
+// docs/OBSERVABILITY.md) and one machine-readable output format, so the
 // serve daemon's `metrics` endpoint and any future scraper see a single
 // coherent surface.
 //
@@ -22,14 +22,13 @@
 //     the JSON layer, so two snapshots of identical state are byte-identical
 //     (tests diff them directly).
 //
-// Probes cover stats that already live elsewhere (an existing struct behind
-// a mutex, a container size): `register_probe` takes a callable sampled at
-// exposition time instead of forcing the owner to maintain a shadow copy.
+// Stats that already live elsewhere (an existing struct behind a mutex, a
+// container size) are copied into gauges by their owner at sampling time, as
+// the serve daemon's `metrics` op does.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -105,34 +104,24 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name, const std::string& help,
                        std::vector<double> upper_bounds);
 
-  /// Register a metric whose value lives elsewhere (a struct behind the
-  /// owner's mutex, a container size). `sample` is called at exposition
-  /// time; `kind` must be "counter" or "gauge" and only affects the TYPE
-  /// annotation. Re-registering a name replaces the previous probe (owners
-  /// with shorter lifetimes than the registry re-register on construction).
-  void register_probe(const std::string& name, const std::string& help,
-                      const std::string& kind, std::function<double()> sample);
-
   /// Render every registered metric as Prometheus text exposition format
   /// (`# HELP` / `# TYPE` comments, `_bucket`/`_sum`/`_count` histogram
   /// series), in registration order.
   std::string exposition() const;
 
-  /// Process-wide registry: the serve daemon, sweep caches, and store all
-  /// meet here. Tests build private instances instead.
+  /// Process-wide registry: the serve daemon and the durable store meet
+  /// here. Tests build private instances instead.
   static MetricsRegistry& global();
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kProbe };
+  enum class Kind { kCounter, kGauge, kHistogram };
   struct Entry {
     std::string name;
     std::string help;
     Kind kind = Kind::kCounter;
-    std::string probe_kind;  // "counter" | "gauge", Kind::kProbe only
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
-    std::function<double()> sample;
   };
 
   Entry& find_or_create(const std::string& name, Kind kind,

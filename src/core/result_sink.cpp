@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "bsr/registry.hpp"
+#include "common/json.hpp"
 #include "common/table_printer.hpp"
 
 namespace bsr {
@@ -93,29 +94,6 @@ void CsvSink::end() { out_->flush(); }
 
 namespace {
 
-std::string json_string(const std::string& v) {
-  std::string s = "\"";
-  for (const char c : v) {
-    switch (c) {
-      case '"': s += "\\\""; break;
-      case '\\': s += "\\\\"; break;
-      case '\n': s += "\\n"; break;
-      case '\r': s += "\\r"; break;
-      case '\t': s += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          s += buf;
-        } else {
-          s += c;
-        }
-    }
-  }
-  s += '"';
-  return s;
-}
-
 /// Strict RFC 8259 number grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
 /// (strtod alone is too permissive — it accepts ".5", "+5", "0x1f", "5.",
 /// none of which are valid JSON tokens).
@@ -156,7 +134,7 @@ std::string json_value(const std::string& v) {
       return v;
     }
   }
-  return json_string(v);
+  return json_quote(v);
 }
 
 }  // namespace
@@ -173,7 +151,7 @@ void JsonSink::add_row(const std::vector<std::string>& values) {
   first_row_ = false;
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i > 0) *out_ << ", ";
-    *out_ << json_string(columns_[i]) << ": " << json_value(values[i]);
+    *out_ << json_quote(columns_[i]) << ": " << json_value(values[i]);
   }
   *out_ << '}';
 }

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "bsr/registry.hpp"
-#include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
 #include "core/decomposer.hpp"
 
@@ -174,16 +173,6 @@ Sweep& Sweep::threads(int n) {
   return *this;
 }
 
-Sweep& Sweep::store(std::shared_ptr<ResultStore> store) {
-  store_ = std::move(store);
-  return *this;
-}
-
-Sweep& Sweep::clear_cache() {
-  cache_.clear();
-  return *this;
-}
-
 namespace {
 
 /// The baseline for a cell: same configuration, baseline strategy substituted
@@ -263,26 +252,8 @@ SweepResult Sweep::run() {
   std::map<std::string, std::size_t> job_index;  // fingerprint -> jobs slot
   const auto request = [&](const RunConfig& cfg) -> std::string {
     ++result.requested_runs;
-    ++counters_.requested;
     std::string fp = cfg.fingerprint();
-    if (cache_.count(fp) != 0) {
-      ++counters_.memory_hits;
-      return fp;
-    }
-    if (job_index.count(fp) != 0) {
-      ++counters_.coalesced;
-      return fp;
-    }
-    // Memory miss: consult the durable tier before scheduling an execution.
-    // A store hit is promoted into the memory cache so repeats stay cheap.
-    if (store_ != nullptr) {
-      if (std::shared_ptr<const RunReport> stored = store_->load(fp)) {
-        cache_.emplace(fp, std::move(stored));
-        ++counters_.store_hits;
-        ++result.store_hits;
-        return fp;
-      }
-    }
+    if (cache_.count(fp) != 0 || job_index.count(fp) != 0) return fp;
     job_index.emplace(fp, jobs.size());
     jobs.push_back(Job{cfg, nullptr, nullptr});
     return fp;
@@ -335,29 +306,10 @@ SweepResult Sweep::run() {
     if (job.error) std::rethrow_exception(job.error);
   }
 
-  // 5. Publish to the persistent cache (and through the durable tier, when
-  // mounted) and assemble rows in expansion order.
+  // 5. Publish to the persistent cache and assemble rows in expansion order.
   result.unique_runs = jobs.size();
   result.cache_hits = result.requested_runs - result.unique_runs;
-  counters_.executed += jobs.size();
-  {
-    // Mirror the grid's cache accounting into the process-wide metrics
-    // registry (bsr/observability.hpp) so long-lived hosts (the serve
-    // daemon, campaign drivers) expose cumulative sweep efficiency.
-    auto& reg = common::MetricsRegistry::global();
-    static common::Counter& requested = reg.counter(
-        "bsr_sweep_requested_runs_total", "cells requested across all sweeps");
-    static common::Counter& unique = reg.counter(
-        "bsr_sweep_unique_runs_total", "simulator executions across all sweeps");
-    static common::Counter& hits = reg.counter(
-        "bsr_sweep_cache_hits_total",
-        "cells served from the sweep result cache");
-    requested.inc(result.requested_runs);
-    unique.inc(result.unique_runs);
-    hits.inc(result.cache_hits);
-  }
   for (auto& [fp, slot] : job_index) {
-    if (store_ != nullptr) store_->save(fp, *jobs[slot].report);
     cache_.emplace(fp, std::move(jobs[slot].report));
   }
   for (std::size_t i = 0; i < result.rows.size(); ++i) {

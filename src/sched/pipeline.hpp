@@ -21,11 +21,13 @@ namespace bsr::sched {
 /// Multiplicative task-time perturbation: time is inflated by
 /// (1 + drift * progress^2) * lognormal(sigma), where progress = k / K.
 /// GPU kernels lose more efficiency late in the run (small trailing updates
-/// underutilize the device); the CPU panel is steadier.
+/// underutilize the device); the CPU panel is steadier. The calibration is
+/// fixed and shared by the pipeline and the cluster engine; only the switch
+/// is settable.
 struct NoiseModel {
-  double cpu_drift = 0.06;
-  double gpu_drift = 0.22;
-  double sigma = 0.02;     ///< relative measurement/run-to-run noise
+  static constexpr double kCpuDrift = 0.06;
+  static constexpr double kGpuDrift = 0.22;
+  static constexpr double kSigma = 0.02;  ///< relative run-to-run noise
   bool enabled = true;
 };
 

@@ -19,9 +19,10 @@ namespace bsr::serve {
 namespace {
 
 /// Builds the cached-result record for a freshly available report.
-CachedResult make_cached(const core::RunReport& report, std::string json) {
+CachedResult make_cached(const core::RunReport& report,
+                         std::shared_ptr<const std::string> json) {
   CachedResult e;
-  e.json = std::make_shared<const std::string>(std::move(json));
+  e.json = std::move(json);
   e.seconds = report.seconds();
   e.energy_j = report.total_energy_j();
   e.ed2p = report.ed2p();
@@ -317,17 +318,21 @@ std::pair<CachedResult, const char*> Server::resolve(
   const SingleFlight<CachedResult>::Result result =
       flights_.do_call(fingerprint, [&]() -> CachedResult {
         if (store_ != nullptr) {
+          // The store vets the record by building its report; the metrics
+          // come from that report and the response bytes stay the stored
+          // text verbatim. A rejected record falls through and is re-run
+          // and overwritten below.
+          core::RunReport stored;
           if (std::shared_ptr<const std::string> text =
-                  store_->load_serialized(fingerprint)) {
-            // Metrics come from one deserialization; the response bytes stay
-            // the stored text verbatim.
-            CachedResult e = make_cached(deserialize_report(*text), *text);
+                  store_->load_serialized(fingerprint, &stored)) {
+            CachedResult e = make_cached(stored, std::move(text));
             e.from_store = true;
             return e;
           }
         }
         const core::RunReport report = config_.runner(cfg);
-        CachedResult e = make_cached(report, serialize_report(report));
+        CachedResult e = make_cached(report, std::make_shared<const std::string>(
+                                                 serialize_report(report)));
         if (store_ != nullptr) store_->save_serialized(fingerprint, *e.json);
         return e;
       });

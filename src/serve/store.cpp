@@ -18,8 +18,9 @@ namespace {
 
 /// Process-wide corruption counter (bsr/observability.hpp): every loud
 /// reject — truncated record, garbage JSON, schema drift, fingerprint
-/// mismatch, report-schema drift — counts here as well as in the store's
-/// own stats(), so daemons surface corruption without polling stderr.
+/// mismatch, a report that no longer deserializes — counts here as well as
+/// in the store's own stats(), so daemons surface corruption without
+/// polling stderr.
 common::Counter& rejected_records_counter() {
   static common::Counter& c = common::MetricsRegistry::global().counter(
       "bsr_store_rejected_records_total",
@@ -62,7 +63,7 @@ std::string DiskResultStore::record_path(const std::string& fingerprint) const {
 }
 
 std::shared_ptr<const std::string> DiskResultStore::load_serialized(
-    const std::string& fingerprint) {
+    const std::string& fingerprint, core::RunReport* report) {
   const std::string path = record_path(fingerprint);
   std::ifstream in(path, std::ios::binary);
   std::lock_guard<std::mutex> lock(mutex_);
@@ -93,30 +94,15 @@ std::shared_ptr<const std::string> DiskResultStore::load_serialized(
     if (record.at("fingerprint").as_string() != fingerprint) {
       return reject("fingerprint mismatch");
     }
+    // A record is only served if its report builds: the same tree the
+    // envelope check walked, deserialized once.
+    const JsonValue& body = record.at("report");
+    core::RunReport built = deserialize_report(body);
+    if (report != nullptr) *report = std::move(built);
     ++stats_.hits;
-    return std::make_shared<const std::string>(record.at("report").dump());
+    return std::make_shared<const std::string>(body.dump());
   } catch (const std::exception& e) {
     return reject(e.what());
-  }
-}
-
-std::shared_ptr<const core::RunReport> DiskResultStore::load(
-    const std::string& fingerprint) {
-  const std::shared_ptr<const std::string> text = load_serialized(fingerprint);
-  if (text == nullptr) return nullptr;
-  // The record parsed above, so this only throws on a report schema drift —
-  // which must also read as a loud miss, not abort the sweep.
-  try {
-    return std::make_shared<const core::RunReport>(deserialize_report(*text));
-  } catch (const std::exception& e) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.rejected;
-    rejected_records_counter().inc();
-    --stats_.hits;
-    std::fprintf(stderr,
-                 "store: rejecting record for %s (%s); treating as a miss\n",
-                 fingerprint.c_str(), e.what());
-    return nullptr;
   }
 }
 
@@ -148,11 +134,6 @@ void DiskResultStore::save_serialized(const std::string& fingerprint,
                              std::strerror(errno));
   }
   ++stats_.saves;
-}
-
-void DiskResultStore::save(const std::string& fingerprint,
-                           const core::RunReport& report) {
-  save_serialized(fingerprint, serialize_report(report));
 }
 
 StoreStats DiskResultStore::stats() const {

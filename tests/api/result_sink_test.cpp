@@ -7,9 +7,12 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "bsr/registry.hpp"
 #include "bsr/sweep.hpp"
+#include "common/json.hpp"
 
 namespace bsr {
 namespace {
@@ -67,6 +70,79 @@ TEST(ResultSink, JsonQuotesStrtodAcceptedNonJsonTokens) {
   EXPECT_NE(out2.str().find("\"a\": -0.5"), std::string::npos) << out2.str();
   EXPECT_NE(out2.str().find("\"b\": 1e5"), std::string::npos) << out2.str();
   EXPECT_NE(out2.str().find("\"c\": 0"), std::string::npos) << out2.str();
+}
+
+/// Strings that exercise every branch of the JSON string escaper: quotes,
+/// backslash, the named control escapes, other C0 controls (\u00XX), and
+/// bytes that must pass through verbatim (DEL, UTF-8).
+std::vector<std::string> tricky_strings() {
+  return {"plain",          "say \"hi\"",  "C:\\dir\\file", "line\nbreak",
+          "cr\rtab\t",      "bell\a",      std::string("nul\0x", 5),
+          "esc\x1b[0m",     "unit\x1f",    "del\x7f",       "caf\xc3\xa9"};
+}
+
+TEST(ResultSink, JsonQuotesExactlyAsTheSharedJsonWriter) {
+  // JsonSink has no escaper of its own: column names and string cells are
+  // byte-for-byte json_quote's output, so `--format=json` and the daemon's
+  // wire format can never disagree on a string.
+  const std::vector<std::string> cells = tricky_strings();
+  std::vector<std::string> columns;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    columns.push_back("col " + cells[i]);
+  }
+  std::ostringstream out;
+  JsonSink sink(out);
+  sink.begin(columns);
+  sink.add_row(cells);
+  sink.end();
+  std::string expected = "[\n  {";
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (i > 0) expected += ", ";
+    expected += json_quote(columns[i]) + ": " + json_quote(cells[i]);
+  }
+  expected += "}\n]\n";
+  EXPECT_EQ(out.str(), expected);
+}
+
+TEST(ResultSink, JsonOutputParsesBackToTheRowsItWasGiven) {
+  const std::vector<std::string> cells = tricky_strings();
+  std::vector<std::string> columns;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    columns.push_back("c" + std::to_string(i));
+  }
+  std::ostringstream out;
+  JsonSink sink(out);
+  sink.begin(columns);
+  sink.add_row(cells);
+  std::vector<std::string> numbers(columns.size(), "-1.25e3");
+  sink.add_row(numbers);
+  sink.end();
+
+  const JsonValue doc = JsonValue::parse(out.str());
+  ASSERT_TRUE(doc.is_array());
+  ASSERT_EQ(doc.items().size(), 2u);
+  const auto& strings = doc.items()[0].members();
+  const auto& nums = doc.items()[1].members();
+  ASSERT_EQ(strings.size(), columns.size());
+  ASSERT_EQ(nums.size(), columns.size());
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    EXPECT_EQ(strings[i].first, columns[i]);  // member order = column order
+    ASSERT_TRUE(strings[i].second.is_string()) << columns[i];
+    EXPECT_EQ(strings[i].second.as_string(), cells[i]) << columns[i];
+    ASSERT_TRUE(nums[i].second.is_number()) << columns[i];
+    EXPECT_EQ(nums[i].second.number_token(), "-1.25e3");
+  }
+}
+
+TEST(ResultSink, JsonWithNoRowsIsAnEmptyArray) {
+  std::ostringstream out;
+  JsonSink sink(out);
+  sink.begin({"a", "b"});
+  sink.end();
+  EXPECT_EQ(out.str(), "[\n]\n");
+  const JsonValue doc = JsonValue::parse(out.str());
+  ASSERT_TRUE(doc.is_array());
+  EXPECT_TRUE(doc.items().empty());
 }
 
 TEST(ResultSink, TableRendersHeadersAndRows) {

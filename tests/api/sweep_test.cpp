@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <map>
 #include <memory>
 
 #include "bsr/registry.hpp"
@@ -248,106 +247,78 @@ TEST(Sweep, TrialAxisSeedsAreIndexDerived) {
   }
 }
 
-/// In-memory ResultStore double: counts loads/saves and can be pre-warmed,
-/// standing in for serve::DiskResultStore without touching the filesystem.
-class FakeStore final : public ResultStore {
- public:
-  std::shared_ptr<const RunReport> load(
-      const std::string& fingerprint) override {
-    ++loads;
-    const auto it = records.find(fingerprint);
-    return it == records.end() ? nullptr : it->second;
-  }
-  void save(const std::string& fingerprint, const RunReport& report) override {
-    ++saves;
-    records[fingerprint] = std::make_shared<const RunReport>(report);
-  }
-
-  std::map<std::string, std::shared_ptr<const RunReport>> records;
-  int loads = 0;
-  int saves = 0;
-};
-
-TEST(SweepCountersTest, InvariantAndExecutedOnColdRun) {
-  Sweep sweep(small_base());
-  const SweepResult grid = sweep.over(strategy_axis({"original", "bsr"}))
+TEST(SweepAccountingTest, InvariantAndExecutedOnColdRun) {
+  const SweepResult grid = Sweep(small_base())
+                               .over(strategy_axis({"original", "bsr"}))
                                .threads(1)
                                .run();
   ASSERT_EQ(grid.rows.size(), 2u);
-  const SweepCounters& c = sweep.counters();
-  EXPECT_EQ(c.requested, 2u);
-  EXPECT_EQ(c.executed, 2u);
-  EXPECT_EQ(c.memory_hits, 0u);
-  EXPECT_EQ(c.store_hits, 0u);
-  EXPECT_EQ(c.requested,
-            c.memory_hits + c.coalesced + c.store_hits + c.executed);
+  EXPECT_EQ(grid.requested_runs, 2u);
+  EXPECT_EQ(grid.unique_runs, 2u);
+  EXPECT_EQ(grid.cache_hits, 0u);
+  EXPECT_EQ(grid.requested_runs, grid.cache_hits + grid.unique_runs);
 }
 
-TEST(SweepCountersTest, RepeatRunsHitTheMemoryCache) {
+TEST(SweepAccountingTest, RepeatRunsHitTheMemoryCache) {
   Sweep sweep(small_base());
   sweep.over(ratio_axis({0.0, 0.25})).threads(1);
-  (void)sweep.run();
-  (void)sweep.run();
-  const SweepCounters& c = sweep.counters();
-  EXPECT_EQ(c.requested, 4u);
-  EXPECT_EQ(c.executed, 2u);
-  EXPECT_EQ(c.memory_hits, 2u);
-  EXPECT_EQ(c.requested,
-            c.memory_hits + c.coalesced + c.store_hits + c.executed);
+  const SweepResult cold = sweep.run();
+  const SweepResult warm = sweep.run();
+  EXPECT_EQ(cold.requested_runs + warm.requested_runs, 4u);
+  EXPECT_EQ(cold.unique_runs + warm.unique_runs, 2u);
+  EXPECT_EQ(warm.unique_runs, 0u);
+  EXPECT_EQ(warm.cache_hits, 2u);
+  EXPECT_EQ(warm.requested_runs, warm.cache_hits + warm.unique_runs);
 }
 
-TEST(SweepCountersTest, DedupedCellsCountAsCoalesced) {
+TEST(SweepAccountingTest, DedupedCellsCountAsCacheHits) {
   // Non-BSR strategies normalize r out of the fingerprint, so the original
   // rows across the ratio axis coalesce onto one job within the run.
-  Sweep sweep(small_base());
-  (void)sweep.over(strategy_axis({"original"}))
-      .over(ratio_axis({0.0, 0.25}))
-      .threads(1)
-      .run();
-  const SweepCounters& c = sweep.counters();
-  EXPECT_EQ(c.requested, 2u);
-  EXPECT_EQ(c.executed, 1u);
-  EXPECT_EQ(c.coalesced, 1u);
+  const SweepResult grid = Sweep(small_base())
+                               .over(strategy_axis({"original"}))
+                               .over(ratio_axis({0.0, 0.25}))
+                               .threads(1)
+                               .run();
+  EXPECT_EQ(grid.requested_runs, 2u);
+  EXPECT_EQ(grid.unique_runs, 1u);
+  EXPECT_EQ(grid.cache_hits, 1u);
 }
 
-TEST(SweepStoreTest, ExecutedRunsAreSavedAndServedBackAfterClearCache) {
-  auto store = std::make_shared<FakeStore>();
-  Sweep sweep(small_base());
-  sweep.store(store).over(strategy_axis({"original", "bsr"})).threads(1);
-
-  const SweepResult cold = sweep.run();
-  EXPECT_EQ(store->saves, 2);
-  EXPECT_EQ(sweep.counters().executed, 2u);
-  EXPECT_EQ(cold.store_hits, 0u);
-
-  sweep.clear_cache();  // drops the memory tier, NOT the store
-  const SweepResult warm = sweep.run();
-  EXPECT_EQ(warm.store_hits, 2u);
-  EXPECT_EQ(sweep.counters().store_hits, 2u);
-  EXPECT_EQ(sweep.counters().executed, 2u);  // nothing re-executed
-  EXPECT_EQ(store->saves, 2);
-
-  ASSERT_EQ(cold.rows.size(), warm.rows.size());
-  for (std::size_t i = 0; i < cold.rows.size(); ++i) {
-    expect_identical_reports(*cold.rows[i].report, *warm.rows[i].report);
+TEST(SweepAccountingTest, BaselinesCountAsRequestedRunsAndShareOneExecution) {
+  // Every cell requests its baseline too; the four cells' baselines are one
+  // fingerprint, and SR normalizes r out of its own, so 8 requests cost 4
+  // executions: SR once, BSR per ratio, and the shared Original baseline.
+  const SweepResult grid = Sweep(small_base())
+                               .over(strategy_axis({"sr", "bsr"}))
+                               .over(ratio_axis({0.0, 0.25}))
+                               .baseline("original")
+                               .threads(1)
+                               .run();
+  ASSERT_EQ(grid.rows.size(), 4u);
+  EXPECT_EQ(grid.requested_runs, 8u);
+  EXPECT_EQ(grid.unique_runs, 4u);
+  EXPECT_EQ(grid.cache_hits, 4u);
+  for (const SweepRow& row : grid.rows) {
+    ASSERT_NE(row.baseline, nullptr);
+    EXPECT_EQ(row.baseline, grid.rows[0].baseline);  // one shared execution
   }
-  const SweepCounters& c = sweep.counters();
-  EXPECT_EQ(c.requested,
-            c.memory_hits + c.coalesced + c.store_hits + c.executed);
 }
 
-TEST(SweepStoreTest, PreWarmedStoreAvoidsAllExecution) {
-  auto store = std::make_shared<FakeStore>();
-  {
-    Sweep producer(small_base());
-    (void)producer.store(store).over(ratio_axis({0.0, 0.1})).threads(1).run();
-  }
-  Sweep consumer(small_base());
-  const SweepResult grid =
-      consumer.store(store).over(ratio_axis({0.0, 0.1})).threads(1).run();
-  ASSERT_EQ(grid.rows.size(), 2u);
-  EXPECT_EQ(consumer.counters().executed, 0u);
-  EXPECT_EQ(consumer.counters().store_hits, 2u);
+TEST(SweepAccountingTest, CountsAreIndependentOfThreadCount) {
+  const auto run_with = [](int threads) {
+    return Sweep(small_base())
+        .over(strategy_axis({"original", "sr", "bsr"}))
+        .over(ratio_axis({0.0, 0.25, 0.5}))
+        .threads(threads)
+        .run();
+  };
+  const SweepResult serial = run_with(1);
+  const SweepResult parallel = run_with(3);
+  EXPECT_EQ(serial.requested_runs, 9u);
+  EXPECT_EQ(serial.unique_runs, 5u);  // original + sr once each, bsr x3
+  EXPECT_EQ(parallel.requested_runs, serial.requested_runs);
+  EXPECT_EQ(parallel.unique_runs, serial.unique_runs);
+  EXPECT_EQ(parallel.cache_hits, serial.cache_hits);
 }
 
 }  // namespace

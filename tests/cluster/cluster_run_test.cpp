@@ -3,9 +3,15 @@
 // ABFT coverage accounting per device, and RunConfig dispatch/validation.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <tuple>
+#include <utility>
+
 #include "bsr/bsr.hpp"
 #include "cluster/engine.hpp"
 #include "energy/baselines.hpp"
+#include "sched/pipeline.hpp"
 
 namespace bsr {
 namespace {
@@ -219,6 +225,79 @@ TEST(ClusterEngine, ForcedAbftCountsPerDevice) {
   const cluster::ClusterReport none = cluster::run_cluster(profile, wl, o);
   EXPECT_GT(r.makespan, none.makespan);
 }
+
+TEST(ClusterEngine, NoiseInflatesTheMakespanWithinTheDriftEnvelope) {
+  // The cluster lanes draw the same calibrated drift + jitter as the
+  // single-node pipeline: noise slows the run, but by no more than the
+  // GPU drift at the very end plus a few sigma of jitter.
+  const cluster::ClusterProfile profile =
+      cluster::ClusterProfile::paper_scaleout(4);
+  const predict::WorkloadModel wl = workload(16384, 512);
+  cluster::ClusterOptions o = options(cluster::ClusterStrategy::Original);
+  const double noisy = cluster::run_cluster(profile, wl, o).seconds();
+  o.noise.enabled = false;
+  const double clean = cluster::run_cluster(profile, wl, o).seconds();
+  EXPECT_GT(noisy, clean);
+  EXPECT_LT(noisy, clean * (1.0 + sched::NoiseModel::kGpuDrift) *
+                       std::exp(4.0 * sched::NoiseModel::kSigma));
+}
+
+/// (broadcast schedule, peer-linked topology?) for the exactly-once check.
+using UpdateScheduleParam = std::tuple<cluster::BroadcastSchedule, bool>;
+
+std::string update_schedule_name(
+    const ::testing::TestParamInfo<UpdateScheduleParam>& info) {
+  static const char* const kNames[] = {"Relay", "Ring", "Tree"};
+  return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) +
+         (std::get<1>(info.param) ? "_PeerLinks" : "_HostBus");
+}
+
+class EveryUpdateOnce : public ::testing::TestWithParam<UpdateScheduleParam> {};
+
+TEST_P(EveryUpdateOnce, DeviceFlopsSumToTheWorkloadOnEveryLayout) {
+  // Each (iteration, device) trailing update is scheduled exactly once,
+  // whichever path delivers the panel (host star, peer relay, ring, tree)
+  // and whatever the process grid. A second scheduling would charge the
+  // update's flops twice; a lost one would drop them.
+  const auto [schedule, peer_links] = GetParam();
+  const cluster::ClusterProfile profile =
+      peer_links ? cluster::ClusterProfile::nvlink_pairs(4)
+                 : cluster::ClusterProfile::paper_scaleout(4);
+  for (const predict::Factorization f :
+       {predict::Factorization::LU, predict::Factorization::Cholesky,
+        predict::Factorization::QR}) {
+    const predict::WorkloadModel wl{f, 4096, 256, 8};
+    // Work is shared out by trailing-column ownership, so an iteration with
+    // no trailing columns (QR's last one still forms its T factor) has no
+    // owner and is charged to no device.
+    double expect_gpu = 0.0;
+    for (int k = 0; k < wl.num_iterations(); ++k) {
+      if (wl.iteration(k).tmu_flops > 0.0) {
+        expect_gpu += wl.iteration(k).gpu_flops();
+      }
+    }
+    for (const auto& [grid_p, grid_q] : {std::pair{0, 0}, std::pair{2, 2}}) {
+      cluster::ClusterOptions o = options(cluster::ClusterStrategy::Original);
+      o.schedule = schedule;
+      o.grid_p = grid_p;
+      o.grid_q = grid_q;
+      const cluster::ClusterReport r = cluster::run_cluster(profile, wl, o);
+      double dev_flops = 0.0;
+      for (const cluster::DeviceUsage& d : r.devices) dev_flops += d.flops;
+      EXPECT_NEAR(dev_flops, expect_gpu, 1e-9 * expect_gpu)
+          << "factorization " << static_cast<int>(f) << ", grid " << grid_p
+          << "x" << grid_q;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schedules, EveryUpdateOnce,
+    ::testing::Combine(::testing::Values(cluster::BroadcastSchedule::Relay,
+                                         cluster::BroadcastSchedule::Ring,
+                                         cluster::BroadcastSchedule::Tree),
+                       ::testing::Bool()),
+    update_schedule_name);
 
 // ---- facade: RunConfig dispatch, ClusterConfig, validation ------------------
 

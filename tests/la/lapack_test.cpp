@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "la/lapack.hpp"
 #include "la/verify.hpp"
@@ -180,6 +186,76 @@ TEST(BlockedVsUnblocked, LuSameResultModuloRounding) {
   }
   EXPECT_LT(max_diff, 1e-10);
 }
+
+
+/// log|det A| read off the diagonal of a packed factor: sum of log|f_ii|,
+/// times `power` (2 for a Cholesky factor, whose L L^T squares it).
+template <typename T>
+double log_abs_det(const Matrix<T>& factored, double power) {
+  double sum = 0.0;
+  for (idx i = 0; i < factored.rows(); ++i) {
+    sum += std::log(std::abs(static_cast<double>(factored(i, i))));
+  }
+  return power * sum;
+}
+
+/// Cholesky, LU and QR of the same SPD matrix, each checked by its
+/// reconstruction residual; returns their three log-determinants.
+template <typename T>
+std::array<double, 3> factor_all_three(int n, double tol) {
+  Rng rng(100 + n);
+  Matrix<T> a(n, n);
+  fill_spd(a.view(), rng);
+
+  Matrix<T> l = a;
+  EXPECT_EQ(potrf(l.view(), 8), 0);
+  EXPECT_LT(cholesky_residual(a.view().as_const(), l.view().as_const()), tol);
+
+  Matrix<T> lu = a;
+  std::vector<idx> ipiv;
+  EXPECT_EQ(getrf(lu.view(), 8, ipiv), 0);
+  EXPECT_LT(lu_residual(a.view().as_const(), lu.view().as_const(), ipiv), tol);
+
+  Matrix<T> qr = a;
+  std::vector<T> tau;
+  EXPECT_EQ(geqrf(qr.view(), 8, tau), 0);
+  EXPECT_LT(qr_residual(a.view().as_const(), qr.view().as_const(), tau), tol);
+
+  return {log_abs_det(l, 2.0), log_abs_det(lu, 1.0), log_abs_det(qr, 1.0)};
+}
+
+class FactorizationAgreement : public ::testing::TestWithParam<int> {};
+
+TEST_P(FactorizationAgreement, AllThreeFactorizationsAgree) {
+  // |det A| = prod L_ii^2 = prod |U_ii| = prod |R_ii|: the three
+  // factorizations of one SPD matrix must agree on it.
+  const int n = GetParam();
+  const auto [chol, lu, qr] = factor_all_three<double>(n, 1e-12);
+  const double tol = 1e-10 * std::max(1.0, std::abs(chol));
+  EXPECT_NEAR(lu, chol, tol);
+  EXPECT_NEAR(qr, chol, tol);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, FactorizationAgreement,
+                         ::testing::Values(8, 16, 33, 64));
+
+class FloatFactorizations : public ::testing::TestWithParam<int> {};
+
+TEST_P(FloatFactorizations, MatchDoubleAtSinglePrecision) {
+  // The float instantiations (the numeric path's single-precision mode)
+  // reconstruct A to single-precision accuracy and agree with double.
+  const int n = GetParam();
+  const double eps = std::numeric_limits<float>::epsilon();
+  const auto f = factor_all_three<float>(n, 8.0 * n * eps);
+  const auto d = factor_all_three<double>(n, 1e-12);
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    EXPECT_NEAR(f[i], d[i], 8.0 * n * eps * std::max(1.0, std::abs(d[i])))
+        << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, FloatFactorizations,
+                         ::testing::Values(8, 16, 33, 64));
 
 }  // namespace
 }  // namespace bsr::la

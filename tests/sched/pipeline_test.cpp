@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace bsr::sched {
 namespace {
 
@@ -154,6 +156,70 @@ TEST(Pipeline, NoiseFactorGrowsWithProgress) {
   const int last = pipe.num_iterations() - 1;
   EXPECT_GT(pipe.noise_factor(hw::DeviceId::Gpu, last),
             pipe.noise_factor(hw::DeviceId::Gpu, 0));
+}
+
+TEST(Pipeline, NoiseOffLeavesEveryFactorAtOne) {
+  const auto platform = hw::PlatformProfile::paper_default();
+  HybridPipeline pipe(platform, config(30720, 512, false));
+  for (int k = 0; k < pipe.num_iterations(); ++k) {
+    ASSERT_EQ(pipe.noise_factor(hw::DeviceId::Cpu, k), 1.0) << k;
+    ASSERT_EQ(pipe.noise_factor(hw::DeviceId::Gpu, k), 1.0) << k;
+  }
+}
+
+TEST(Pipeline, SingleIterationRunIsNoiseFree) {
+  // With one iteration there is no progress axis to drift along.
+  const auto platform = hw::PlatformProfile::paper_default();
+  HybridPipeline pipe(platform, config(512, 512, true));
+  ASSERT_EQ(pipe.num_iterations(), 1);
+  EXPECT_EQ(pipe.noise_factor(hw::DeviceId::Cpu, 0), 1.0);
+  EXPECT_EQ(pipe.noise_factor(hw::DeviceId::Gpu, 0), 1.0);
+}
+
+TEST(Pipeline, NoiseFactorsFollowTheCalibratedDriftAndJitter) {
+  // factor_k = (1 + drift * (k / (K-1))^2) * exp(N(0, sigma)): dividing out
+  // the drift envelope must leave a log-jitter centred on 0 with spread
+  // sigma, on both lanes.
+  const auto platform = hw::PlatformProfile::paper_default();
+  HybridPipeline pipe(platform, config(65536, 256, true));
+  const int iters = pipe.num_iterations();
+  ASSERT_GT(iters, 100);
+  const auto check_lane = [&](hw::DeviceId dev, double drift) {
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    for (int k = 0; k < iters; ++k) {
+      const double p = static_cast<double>(k) / (iters - 1);
+      const double log_jitter =
+          std::log(pipe.noise_factor(dev, k) / (1.0 + drift * p * p));
+      EXPECT_LT(std::abs(log_jitter), 6.0 * NoiseModel::kSigma) << k;
+      sum += log_jitter;
+      sum_sq += log_jitter * log_jitter;
+    }
+    const double mean = sum / iters;
+    const double sd = std::sqrt(sum_sq / iters - mean * mean);
+    EXPECT_LT(std::abs(mean), 4.0 * NoiseModel::kSigma / std::sqrt(iters));
+    EXPECT_GT(sd, 0.7 * NoiseModel::kSigma);
+    EXPECT_LT(sd, 1.3 * NoiseModel::kSigma);
+  };
+  check_lane(hw::DeviceId::Cpu, NoiseModel::kCpuDrift);
+  check_lane(hw::DeviceId::Gpu, NoiseModel::kGpuDrift);
+}
+
+TEST(Pipeline, GpuDriftsFurtherThanCpuLateInTheRun) {
+  // Small trailing updates underutilize the GPU; the CPU panel is steadier.
+  const auto platform = hw::PlatformProfile::paper_default();
+  HybridPipeline pipe(platform, config(30720, 512, true));
+  const int iters = pipe.num_iterations();
+  double cpu_tail = 0.0;
+  double gpu_tail = 0.0;
+  const int tail = iters / 5;
+  for (int k = iters - tail; k < iters; ++k) {
+    cpu_tail += pipe.noise_factor(hw::DeviceId::Cpu, k);
+    gpu_tail += pipe.noise_factor(hw::DeviceId::Gpu, k);
+  }
+  EXPECT_GT(gpu_tail / tail, cpu_tail / tail);
+  EXPECT_GT(gpu_tail / tail, 1.0 + 0.5 * NoiseModel::kGpuDrift);
+  EXPECT_LT(cpu_tail / tail, 1.0 + 1.5 * NoiseModel::kCpuDrift);
 }
 
 TEST(Pipeline, BaseNormalizedProfilesUndoFrequencyScaling) {

@@ -8,14 +8,17 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/client.hpp"
 #include "serve/report_json.hpp"
+#include "serve/store.hpp"
 
 namespace bsr::serve {
 namespace {
@@ -112,6 +115,54 @@ TEST(ServerTest, RestartOverTheSameStoreServesByteIdenticalWithoutRerun) {
     EXPECT_EQ(v.at("report").dump(), cold_report);
     EXPECT_EQ(ts.executions.load(), 0);  // never re-executed
     EXPECT_EQ(ts.server->stats().store_hits, 1u);
+    ts.server->stop();
+  }
+}
+
+TEST(ServerTest, StoreRecordWhoseReportDoesNotBuildIsRerunAndOverwritten) {
+  // A record with a valid envelope whose report lost its `trace` member
+  // must never reach a client: the daemon re-runs the config, answers
+  // "executed", and overwrites the record so the next daemon serves it.
+  const std::string dir = fresh_dir("unbuildable");
+  const std::string fp = small_config().fingerprint();
+  {
+    std::vector<std::pair<std::string, JsonValue>> members;
+    const JsonValue report =
+        JsonValue::parse(serialize_report(bsr::run(small_config())));
+    for (const auto& [key, value] : report.members()) {
+      if (key != "trace") members.emplace_back(key, value);
+    }
+    const DiskResultStore store(dir);
+    std::ofstream out(store.record_path(fp), std::ios::binary);
+    out << "{\"schema\":" << DiskResultStore::kSchemaVersion
+        << ",\"fingerprint\":" << json_quote(fp) << ",\"report\":"
+        << JsonValue::make_object(std::move(members)).dump() << "}\n";
+  }
+  {
+    ServerConfig cfg;
+    cfg.store_dir = dir;
+    TestServer ts(std::move(cfg));
+    Client c = ts.client();
+    const JsonValue v = JsonValue::parse(c.call_raw(run_request(kSmallConfig)));
+    EXPECT_TRUE(v.at("ok").as_bool());
+    EXPECT_EQ(v.at("source").as_string(), "executed");
+    EXPECT_EQ(ts.executions.load(), 1);
+    EXPECT_EQ(ts.server->store_stats().rejected, 1u);
+    const ServeStats st = ts.server->stats();
+    EXPECT_EQ(st.runs,
+              st.memory_hits + st.coalesced + st.store_hits + st.executed);
+    ts.server->stop();
+  }
+  {
+    ServerConfig cfg;
+    cfg.store_dir = dir;
+    TestServer ts(std::move(cfg));
+    Client c = ts.client();
+    const JsonValue v = JsonValue::parse(c.call_raw(run_request(kSmallConfig)));
+    EXPECT_TRUE(v.at("ok").as_bool());
+    EXPECT_EQ(v.at("source").as_string(), "store");
+    EXPECT_EQ(ts.executions.load(), 0);
+    EXPECT_EQ(ts.server->store_stats().rejected, 0u);
     ts.server->stop();
   }
 }
